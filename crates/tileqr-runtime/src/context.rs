@@ -63,13 +63,21 @@
 //! }
 //! ```
 //!
-//! Every execution path of the context (sequential, and each scheduler on
-//! the persistent pool) runs the same kernels in a DAG-respecting order, so
-//! results are **bitwise identical** to the legacy free functions — the
-//! equivalence suite pins this down for `f64` and `Complex64`.
+//! # One execution engine
+//!
+//! Every run goes through one job type, the fused streaming job: a single
+//! factorization is a group of one, a batch is a group with a collecting
+//! sink, the service streams groups through its own sink, and a traced run
+//! is a group carrying an [`ExecutionTrace`]. A context with a pool runs the
+//! job on every worker; a `threads == 1` context drives the same job inline
+//! on the calling thread as its only worker. Every run executes the same
+//! kernels in a DAG-respecting order, so results are **bitwise identical**
+//! to the plain topological walk
+//! ([`execute_sequential_with`](crate::executor::execute_sequential_with))
+//! — the equivalence suites pin this down for `f64` and `Complex64`.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use tileqr_core::algorithms::Algorithm;
@@ -79,13 +87,14 @@ use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 use crate::driver::{elimination_list_for, replay_q, QrConfig, QrFactorization};
 use crate::executor::{
-    drive_worker, DriveCtl, FaultSink, GroupSucc, ItemMap, LockedFifo, Scheduler, SchedulerKind,
-    WorkStealing, WorkStealingPriority,
+    drive_worker, DriveCtl, FaultSink, GroupSucc, ItemMap, Scheduler, SchedulerKind, WorkStealing,
+    WorkStealingPriority,
 };
 use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
 use crate::state::FactorizationState;
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
+use crate::trace::{ExecutionTrace, WorkerTrace};
 
 /// Hard upper bound on the worker-thread count of a [`QrContext`]; requests
 /// beyond it are configuration mistakes (the pool would oversubscribe any
@@ -576,10 +585,21 @@ impl<T: Scalar> QrPlan<T> {
         cache.truncate(cap);
     }
 
-    /// A weak back-reference to the plan's `T`-buffer pool, embedded in
-    /// every result handle so dropping the handle recycles automatically.
-    pub(crate) fn t_recycler(&self) -> std::sync::Weak<TPool<T>> {
-        Arc::downgrade(&self.t_pool)
+    /// The per-copy metadata a fused job keeps for an item of this plan,
+    /// including a weak back-reference to the plan's `T`-buffer pool that
+    /// every result handle embeds so dropping the handle recycles
+    /// automatically.
+    fn item_meta(&self) -> ItemMeta<T> {
+        ItemMeta {
+            core: Arc::clone(&self.core),
+            m: self.m,
+            n: self.n,
+            nb: self.nb,
+            ib: self.ib,
+            p: self.p,
+            q: self.q,
+            recycler: Arc::downgrade(&self.t_pool),
+        }
     }
 
     /// The opt-in pre-submission finiteness scan, for callers that hold the
@@ -595,44 +615,33 @@ impl<T: Scalar> QrPlan<T> {
 }
 
 impl<T: Scalar<Real = f64>> QrPlan<T> {
-    /// Builds one [`FactorizationState`] per tiled matrix, drawing the
-    /// `T`-factor buffers (2 · p · q of `ib × nb` per matrix) from the
-    /// plan's recycle pool where available — the fresh-allocation fallback
-    /// and the recycled path are bitwise identical because recycled buffers
-    /// are zeroed in place before reuse.
-    fn build_states(&self, tiled: Vec<TiledMatrix<T>>) -> Vec<FactorizationState<T>> {
-        let need = 2 * self.p * self.q * tiled.len();
-        // Take the recycled buffers out under a short lock; state
-        // construction — tile-mutex wrapping, buffer zeroing and any
-        // fresh-allocation fallback — runs lock-free, so concurrent
-        // factorizations sharing one plan do not serialize here.
-        let mut recycled: Vec<Matrix<T>> = self.t_pool.take(need);
-        tiled
-            .into_iter()
-            .map(|t| {
-                FactorizationState::with_t_supplier(t, self.ib, &mut |r, c| match recycled.pop() {
-                    Some(mut m) => {
-                        debug_assert_eq!(
-                            m.shape(),
-                            (r, c),
-                            "T pool holds only plan-shaped buffers"
-                        );
-                        m.as_mut_slice().fill(T::ZERO);
-                        m
-                    }
-                    None => Matrix::zeros(r, c),
-                })
-            })
-            .collect()
+    /// Takes up to `copies` matrices' worth of recycled `T`-factor buffers
+    /// (2 · p · q of `ib × nb` each) out of the pool in one checkout, which
+    /// also records the checkout as the pool's retention bound.
+    fn take_t_buffers(&self, copies: usize) -> Vec<Matrix<T>> {
+        self.t_pool.take(2 * self.p * self.q * copies)
     }
 
-    /// [`QrPlan::build_states`] for a single matrix — the streaming path
-    /// builds copies one at a time because each item of a mixed group draws
-    /// from its own plan's pool.
-    fn build_state(&self, tiled: TiledMatrix<T>) -> FactorizationState<T> {
-        self.build_states(vec![tiled])
-            .pop()
-            .expect("one matrix in, one state out")
+    /// Builds the [`FactorizationState`] of one tiled matrix, drawing its
+    /// `T`-factor buffers from `recycled` (see
+    /// [`QrPlan::take_t_buffers`]) and allocating the rest — the
+    /// fresh-allocation fallback and the recycled path are bitwise
+    /// identical because recycled buffers are zeroed in place before reuse.
+    /// The pool lock is not held here, so concurrent factorizations sharing
+    /// one plan do not serialize on state construction.
+    fn build_state(
+        &self,
+        tiled: TiledMatrix<T>,
+        recycled: &mut Vec<Matrix<T>>,
+    ) -> FactorizationState<T> {
+        FactorizationState::with_t_supplier(tiled, self.ib, &mut |r, c| match recycled.pop() {
+            Some(mut m) => {
+                debug_assert_eq!(m.shape(), (r, c), "T pool holds only plan-shaped buffers");
+                m.as_mut_slice().fill(T::ZERO);
+                m
+            }
+            None => Matrix::zeros(r, c),
+        })
     }
 
     /// Returns a consumed factorization's `T`-factor buffers to the plan's
@@ -690,123 +699,18 @@ fn find_non_finite_tiled<T: Scalar>(t: &TiledMatrix<T>) -> Option<(usize, usize)
     None
 }
 
-/// Per-batch fault bookkeeping: one slot per batch copy, fed by
-/// [`drive_worker`]'s containment mode through the [`FaultSink`] trait.
-///
-/// A recorded panic poisons exactly one copy: its remaining tasks are
-/// skipped (retired without executing) while sibling copies run to
-/// completion. After the job drains, [`ItemTracker::verdict`] turns the
-/// per-copy state into the item's `Result`.
-struct ItemTracker {
-    /// Per-copy DAG, for sizing the retire target and mapping a panicking
-    /// local task id to its [`TaskKind`]. Same-plan groups hold clones of
-    /// one `Arc`; heterogeneous fused groups hold each item's own DAG.
-    dags: Vec<Arc<TaskDag>>,
-    /// Fast path: no copy has failed yet (one relaxed load per task).
-    any_failed: AtomicBool,
-    /// Per-copy failure flag, checked before executing each task.
-    failed: Vec<AtomicBool>,
-    /// First error recorded per copy.
-    errors: Vec<Mutex<Option<QrError>>>,
-    /// Tasks retired (executed or skipped) per copy; a copy with a full
-    /// count and no recorded error completed successfully.
-    done: Vec<AtomicUsize>,
-}
-
-impl ItemTracker {
-    fn new(dag: Arc<TaskDag>, copies: usize) -> Self {
-        ItemTracker::per_copy(vec![dag; copies])
-    }
-
-    /// One DAG per copy — the heterogeneous fused-group constructor.
-    fn per_copy(dags: Vec<Arc<TaskDag>>) -> Self {
-        let copies = dags.len();
-        ItemTracker {
-            dags,
-            any_failed: AtomicBool::new(false),
-            failed: (0..copies).map(|_| AtomicBool::new(false)).collect(),
-            errors: (0..copies).map(|_| Mutex::new(None)).collect(),
-            done: (0..copies).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Task count of `copy`'s DAG — its retire target.
-    fn tasks_of(&self, copy: usize) -> usize {
-        self.dags[copy].len()
-    }
-
-    /// The item result of `copy` once the job has drained: a recorded fault
-    /// wins; an incomplete retire count means the job was cancelled out from
-    /// under the copy (`cause` says why); otherwise the copy succeeded.
-    fn verdict(&self, copy: usize, cause: Option<CancelCause>) -> Option<QrError> {
-        if let Some(err) = self.errors[copy].lock().take() {
-            return Some(err);
-        }
-        if !self.is_complete(copy) {
-            return Some(QrError::from_cancel(
-                cause.unwrap_or(CancelCause::Cancelled),
-            ));
-        }
-        None
-    }
-
-    /// Retires one task of `copy` and returns the new retire count — the
-    /// seam the streaming job uses to detect the *final* retire of a copy
-    /// and fire its per-item completion hook on the worker thread.
-    fn retire(&self, copy: usize) -> usize {
-        self.done[copy].fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Takes the first error recorded for `copy`, if any.
-    fn take_error(&self, copy: usize) -> Option<QrError> {
-        self.errors[copy].lock().take()
-    }
-
-    /// True once every task of `copy` has retired (executed or skipped).
-    fn is_complete(&self, copy: usize) -> bool {
-        self.done[copy].load(Ordering::Acquire) >= self.dags[copy].len()
-    }
-}
-
-impl FaultSink for ItemTracker {
-    fn copy_failed(&self, copy: usize) -> bool {
-        // The relaxed fast-path load is safe: a stale `false` at worst runs
-        // one more task of an already-failed copy against garbage tile data,
-        // which only that copy's (already discarded) output can observe.
-        // Tasks released *after* the panic was recorded see the flag through
-        // the dependency counter's release/acquire chain.
-        self.any_failed.load(Ordering::Relaxed) && self.failed[copy].load(Ordering::Acquire)
-    }
-
-    fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send)) {
-        let mut slot = self.errors[copy].lock();
-        if slot.is_none() {
-            *slot = Some(QrError::TaskPanicked {
-                kind: self.dags[copy].tasks[local].kind,
-                message: payload_message(payload).to_string(),
-            });
-        }
-        self.failed[copy].store(true, Ordering::Release);
-        self.any_failed.store(true, Ordering::Release);
-    }
-
-    fn task_retired(&self, copy: usize) {
-        self.retire(copy);
-    }
-}
-
-/// Unwind guard of the in-place batch path: while a fused job runs, the
+/// Unwind guard of the in-place entry points: while a fused job runs, the
 /// caller's conforming slots hold `0 × 0` placeholder grids (their tiles
-/// were moved into the job). If the job panics — a kernel bug — this guard
-/// puts a plan-shaped **zero** grid back into every *taken* slot still
-/// holding its placeholder, so the caller keeps buffers of the documented
-/// shape (the values were being overwritten anyway; a
-/// `catch_unwind`-and-retry loop refills them via
+/// were moved into the job). If the job panics — a runtime bug; kernel
+/// panics are contained per task — this guard puts a plan-shaped **zero**
+/// grid back into every *taken* slot still holding its placeholder, so the
+/// caller keeps buffers of the documented shape (the values were being
+/// overwritten anyway; a recover-and-retry loop refills them via
 /// [`TiledMatrix::fill_from_dense_padded`]). Rejected slots are tracked
 /// explicitly (`taken[i] == false`), never restored — a caller-supplied
 /// buffer that happens to *be* `0 × 0` stays untouched, as documented. On
-/// the normal return path every placeholder was already replaced by its
-/// factored tiles, and the drop is a no-op.
+/// the normal return path every placeholder was already replaced by the
+/// copy's tiles, and the drop is a no-op.
 struct RestorePlaceholders<'a, T: Scalar> {
     tiles: &'a mut [TiledMatrix<T>],
     /// `taken[i]`: slot `i` conformed and its tiles were moved into the job.
@@ -829,90 +733,114 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
     }
 }
 
-/// One pool job factoring a *batch* of `k ≥ 1` independent matrices of one
-/// plan's shape as a single fused DAG: `k` factorization states, the shared
-/// schedule, this job's scheduler instance and `k · n` dependency counters,
-/// and one workspace slot per worker. Global task id `g` maps to task
-/// `g % n` of the plan's DAG executed against matrix `g / n` — the
-/// single-matrix path is simply `k = 1`, where the mapping is the identity.
-struct BatchJob<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> {
-    states: Vec<FactorizationState<T>>,
-    core: Arc<PlanCore>,
-    sched: S,
-    remaining: Vec<AtomicUsize>,
-    completed: AtomicUsize,
-    aborted: AtomicBool,
-    ws_slots: Vec<Mutex<Option<Workspace<T>>>>,
-    /// Per-copy fault bookkeeping; the workers run in containment mode, so a
-    /// kernel panic poisons one copy instead of the whole job.
-    tracker: ItemTracker,
-    /// This job's cancel token: the submitter's wait loop funnels user
-    /// cancellation, the deadline and the watchdog into it; workers check it
-    /// between tasks.
-    cancel: CancelToken,
-}
-
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for BatchJob<T, S> {
-    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-        let n = self.core.dag.len();
-        let mut slot = self.ws_slots[w].lock();
-        let ws = slot.as_mut().expect("one workspace is staged per worker");
-        // Uniform map: the historical `g → (g / n, g % n)` arithmetic,
-        // allocation-free (no offset table is materialized).
-        let map = ItemMap::uniform(n, self.states.len());
-        let ctl = DriveCtl {
-            num_tasks: self.remaining.len(),
-            map: &map,
-            succ: GroupSucc::Shared(&self.core.succ),
-            remaining: &self.remaining,
-            completed: &self.completed,
-            aborted: &self.aborted,
-            max_out_degree: self.core.max_out_degree,
-            cancel: Some(&self.cancel),
-            faults: Some(&self.tracker),
-        };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
-            #[cfg(feature = "fault-injection")]
-            crate::fault::check(g / n, g % n);
-            self.states[g / n].run_ws(self.core.dag.tasks[g % n].kind, ws)
-        });
-    }
-}
-
-/// Per-item completion callback of the streaming path
+/// Per-item completion callback of the execution engine
 /// ([`QrContext::factorize_stream`]): called exactly once per submitted
-/// matrix, **from a worker thread**, the moment that matrix's last task
-/// retires — not when the whole fused job drains. The service layer
+/// matrix, **from a worker thread** the moment that matrix's last task
+/// retires — not when the whole fused job drains — or from the submitter
+/// for items the job never finished. The service layer
 /// ([`crate::service`]) implements it to resolve tickets while sibling
-/// matrices are still factoring.
+/// matrices are still factoring; the joined entry points collect.
 ///
 /// Implementations must be cheap and must not block on the pool (they run
 /// inside the job); resolving a oneshot cell and pushing to a retry list
 /// are the intended scale of work.
 pub(crate) trait ItemSink<T: Scalar>: Send + Sync {
-    /// Delivers item `index`'s outcome: the finished factorization, or the
-    /// typed per-item error (contained panic, cancellation cause, …).
-    fn item_done(&self, index: usize, outcome: Result<QrFactorization<T>, QrError>);
+    /// Delivers item `index`: its storage and its verdict.
+    fn item_done(&self, index: usize, done: ItemDone<T>);
 }
 
-/// One item of a streaming group ([`QrContext::factorize_stream`]): the
-/// item's own plan, its input, and its fault-injection probe id. Items of
-/// one call may reference *different* plans — the job fuses them through
-/// the offset map.
-pub(crate) struct StreamEntry<T: Scalar> {
-    pub(crate) plan: Arc<QrPlan<T>>,
+/// One finished item of a fused job: the copy's tile storage and `T`
+/// buffers in **every** outcome, plus its per-item error, if any.
+pub(crate) struct ItemDone<T: Scalar> {
+    meta: ItemMeta<T>,
+    /// The factored tiles on success; the partially overwritten plan-shaped
+    /// grid on a contained panic, a cancellation or a deadline; the input
+    /// bitwise untouched on pre-run rejection.
+    tiles: TiledMatrix<T>,
+    t_geqrt: Vec<Option<Matrix<T>>>,
+    t_elim: Vec<Option<Matrix<T>>>,
+    error: Option<QrError>,
+}
+
+impl<T: Scalar<Real = f64>> ItemDone<T> {
+    /// The self-contained result. A failed item's `T` buffers go straight
+    /// back to its own plan; its tiles hold partial garbage and are dropped.
+    pub(crate) fn into_factorization(self) -> Result<QrFactorization<T>, QrError> {
+        let ItemDone {
+            meta,
+            tiles,
+            t_geqrt,
+            t_elim,
+            error,
+        } = self;
+        match error {
+            Some(e) => {
+                meta.recycle(t_geqrt, t_elim);
+                Err(e)
+            }
+            None => Ok(QrFactorization::from_parts(
+                meta.m,
+                meta.n,
+                meta.nb,
+                meta.ib,
+                tiles,
+                t_geqrt,
+                t_elim,
+                Arc::clone(&meta.core.dag),
+                meta.recycler,
+            )),
+        }
+    }
+
+    /// The in-place result: the caller's buffer back in every outcome, plus
+    /// the reflectors on success.
+    fn into_reflectors(self) -> (TiledMatrix<T>, Result<QrReflectors<T>, QrError>) {
+        let ItemDone {
+            meta,
+            tiles,
+            t_geqrt,
+            t_elim,
+            error,
+        } = self;
+        let result = match error {
+            Some(e) => {
+                meta.recycle(t_geqrt, t_elim);
+                Err(e)
+            }
+            None => Ok(QrReflectors {
+                m: meta.m,
+                n: meta.n,
+                nb: meta.nb,
+                ib: meta.ib,
+                p: meta.p,
+                q: meta.q,
+                dag: Arc::clone(&meta.core.dag),
+                t_geqrt,
+                t_elim,
+                recycler: meta.recycler,
+            }),
+        };
+        (tiles, result)
+    }
+}
+
+/// One item of a fused job ([`QrContext::factorize_stream`]): the item's own
+/// plan, its input, and its fault-injection probe id. Items of one call may
+/// reference *different* plans — the job fuses them through the offset map.
+pub(crate) struct StreamEntry<'a, T: Scalar> {
+    pub(crate) plan: &'a QrPlan<T>,
     pub(crate) input: StreamInput<T>,
-    /// Fault-probe id for this item: the service remaps retry attempts to
-    /// fresh probe coordinates so a seeded fault schedule can distinguish
-    /// attempt 0 from attempt 1 of the same submission. Without the feature
-    /// the id is carried but unread.
+    /// Fault-probe id for this item: batch items probe as their index; the
+    /// service remaps retry attempts to fresh probe coordinates so a seeded
+    /// fault schedule can distinguish attempt 0 from attempt 1 of the same
+    /// submission. Without the feature the id is carried but unread.
     pub(crate) probe: usize,
 }
 
-/// How a streaming item's matrix enters the job.
+/// How an item's matrix enters the job.
 pub(crate) enum StreamInput<T: Scalar> {
-    /// Already tiled (direct internal callers and tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Already tiled: caller-owned in-place buffers, and borrowed dense
+    /// inputs the caller tiled itself (no `Arc` copy of the matrix).
     Tiled(TiledMatrix<T>),
     /// Dense: the dispatcher allocates only a zeroed tile grid, and the
     /// first worker that touches the copy performs the dense → tiled copy
@@ -921,24 +849,35 @@ pub(crate) enum StreamInput<T: Scalar> {
     Dense(Arc<Matrix<T>>),
 }
 
-/// Per-copy shape/schedule metadata of a streaming job, drawn from that
-/// item's own plan — the seam that lets one fused job span plans: the DAG
-/// to execute, the shape to stamp on the result, and the plan pool the
-/// copy's `T` buffers recycle back to.
-struct StreamItemMeta<T: Scalar> {
+/// Per-copy plan metadata of a fused job, drawn from that item's own plan —
+/// the seam that lets one fused job span plans: the DAG to execute, the
+/// shape to stamp on the result, and the plan pool the copy's `T` buffers
+/// recycle back to.
+#[derive(Clone)]
+struct ItemMeta<T: Scalar> {
     core: Arc<PlanCore>,
     m: usize,
     n: usize,
     nb: usize,
     ib: usize,
-    recycler: std::sync::Weak<TPool<T>>,
+    p: usize,
+    q: usize,
+    recycler: Weak<TPool<T>>,
 }
 
-/// Lazy-tiling gate of one streaming copy ([`StreamInput::Dense`]): the
-/// first worker to touch the copy claims the gate, copies the dense input
-/// into the copy's (zeroed) tiles, and publishes readiness; concurrent
-/// same-copy workers spin briefly until the tiles are in place. Pre-tiled
-/// copies are born ready.
+impl<T: Scalar> ItemMeta<T> {
+    fn recycle(&self, t_geqrt: Vec<Option<Matrix<T>>>, t_elim: Vec<Option<Matrix<T>>>) {
+        if let Some(pool) = self.recycler.upgrade() {
+            pool.recycle(t_geqrt.into_iter().chain(t_elim));
+        }
+    }
+}
+
+/// Lazy-tiling gate of one copy ([`StreamInput::Dense`]): the first worker
+/// to touch the copy claims the gate, copies the dense input into the
+/// copy's (zeroed) tiles, and publishes readiness; concurrent same-copy
+/// workers spin briefly until the tiles are in place. Pre-tiled copies are
+/// born ready.
 struct TileGate<T: Scalar> {
     /// The dense input, taken by the claiming worker; `None` once tiled
     /// (and for pre-tiled inputs).
@@ -967,119 +906,38 @@ impl<T: Scalar> TileGate<T> {
     }
 }
 
-/// The streaming variant of [`BatchJob`]: same fused-DAG execution, but each
-/// copy's state lives behind `Mutex<Option<Arc<…>>>` so the copy that
-/// finishes *first* can be dismantled into a [`QrFactorization`] and handed
-/// to the [`ItemSink`] while the rest of the job is still running — and each
-/// copy carries its **own** plan metadata, so one job can fuse items of
-/// different shapes, tile sizes and elimination trees.
-///
-/// Global task id `g` resolves through the job's [`ItemMap`] to
-/// `(copy, local)`; same-plan groups use the uniform map (bit-for-bit the
-/// historical cyclic arithmetic) while mixed groups binary-search the
-/// prefix-sum offsets. Successor release and priority ranking follow the
-/// same per-copy contract ([`GroupSucc`],
-/// [`WorkStealingPriority::new_shared_offsets`]).
-///
-/// Completion detection rides the [`FaultSink::task_retired`] hook:
-/// [`ItemTracker::retire`] returns the copy's new retire count, and the
-/// worker that performs the final retire takes the state out of its slot.
-/// Every task's short-lived `Arc` clone is dropped *before* that task's
-/// retire increment, and the increments form a release/acquire chain on the
-/// copy's counter, so at the final retire all other clones are gone and
-/// `Arc::try_unwrap` succeeds; a put-back plus the job-end sweep in
-/// [`QrContext::run_stream_job`] covers the theoretical failure without
-/// losing the item.
-struct StreamJob<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> {
-    /// One slot per copy: `Some(state)` while the copy is in flight, taken
-    /// by the finishing worker (or the job-end sweep). The lock is held only
-    /// to clone the `Arc` out (per task) or take it (once) — never across a
-    /// kernel.
-    states: Vec<Mutex<Option<Arc<FactorizationState<T>>>>>,
-    /// Exactly-once guard per copy: claimed by whichever path (worker hook
-    /// or job-end sweep) delivers the item to the sink.
-    resolved: Vec<ClaimFlag>,
-    /// Fault-probe ids, one per copy (see [`StreamEntry::probe`]).
+/// One copy of a fused job: its state, lazy-tiling gate, plan metadata and
+/// fault bookkeeping.
+struct CopySlot<T: Scalar> {
+    /// `Some(state)` while the copy is in flight, taken by the finishing
+    /// worker (or the job-end sweep) — whoever takes it delivers the copy,
+    /// which makes delivery exactly-once. The lock is held only to clone
+    /// the `Arc` out (per task) or take it (once) — never across a kernel.
+    state: Mutex<Option<Arc<FactorizationState<T>>>>,
+    gate: TileGate<T>,
+    meta: ItemMeta<T>,
+    /// Fault-probe id (see [`StreamEntry::probe`]).
     #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
-    probes: Vec<usize>,
-    /// Per-copy lazy-tiling gates.
-    gates: Vec<TileGate<T>>,
-    /// Per-copy plan metadata.
-    metas: Vec<StreamItemMeta<T>>,
-    /// `g → (copy, local)` geometry of the fused group.
-    map: ItemMap,
-    /// True when every item references the same plan: the successor CSR is
-    /// shared and the per-worker CSR-reference collection is skipped.
-    homogeneous: bool,
-    /// Largest successor batch any copy's task can enable.
-    max_out_degree: usize,
-    sched: S,
-    remaining: Vec<AtomicUsize>,
-    completed: AtomicUsize,
-    aborted: AtomicBool,
-    ws_slots: Vec<Mutex<Option<Workspace<T>>>>,
-    tracker: ItemTracker,
-    cancel: CancelToken,
-    sink: Arc<dyn ItemSink<T>>,
+    probe: usize,
+    /// Set by the copy's first contained panic; its remaining tasks are
+    /// skipped.
+    failed: AtomicBool,
+    /// First error recorded for the copy.
+    error: Mutex<Option<QrError>>,
+    /// Tasks retired (executed or skipped); the final retire finishes the
+    /// copy.
+    retired: AtomicUsize,
 }
 
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> StreamJob<T, S> {
-    /// Dismantles a fully-retired copy and delivers its outcome to the sink.
-    /// Called by the worker that performed the copy's final retire; a copy
-    /// whose state was already taken (or whose `Arc` is still briefly
-    /// shared — see the put-back) is left for the job-end sweep.
-    fn finish_copy(&self, copy: usize) {
-        let taken = self.states[copy].lock().take();
-        let Some(arc) = taken else { return };
-        let meta = &self.metas[copy];
-        match Arc::try_unwrap(arc) {
-            Ok(state) => {
-                let (tiles, t_geqrt, t_elim) = state.into_parts();
-                let outcome = match self.tracker.take_error(copy) {
-                    Some(e) => {
-                        // A failed copy's T buffers go straight back to the
-                        // item's own plan; its tiles hold partial garbage
-                        // and are dropped.
-                        if let Some(pool) = meta.recycler.upgrade() {
-                            pool.recycle(t_geqrt.into_iter().chain(t_elim));
-                        }
-                        Err(e)
-                    }
-                    None => Ok(QrFactorization::from_parts(
-                        meta.m,
-                        meta.n,
-                        meta.nb,
-                        meta.ib,
-                        tiles,
-                        t_geqrt,
-                        t_elim,
-                        Arc::clone(&meta.core.dag),
-                        meta.recycler.clone(),
-                    )),
-                };
-                if self.resolved[copy].claim() {
-                    self.sink.item_done(copy, outcome);
-                }
-            }
-            Err(arc) => {
-                // Another worker still holds a task-scope clone (possible
-                // only if an Arc count decrement is not yet visible, which
-                // the retire chain rules out in practice — keep the item
-                // safe regardless): put the state back for the job-end
-                // sweep.
-                *self.states[copy].lock() = Some(arc);
-            }
-        }
-    }
-
-    /// Makes sure `copy`'s tiles hold its input before a kernel touches
+impl<T: Scalar<Real = f64>> CopySlot<T> {
+    /// Makes sure the copy's tiles hold its input before a kernel touches
     /// them: the claiming worker tiles the dense input in place, everyone
     /// else spins until published. The spin escapes only when the copy is
     /// poisoned (the claimer panicked mid-tiling and can never publish) —
     /// a poisoned copy's outcome is an error, so the kernel result that
     /// follows is discarded either way.
-    fn ensure_tiled(&self, copy: usize, state: &FactorizationState<T>) {
-        let gate = &self.gates[copy];
+    fn ensure_tiled(&self, state: &FactorizationState<T>) {
+        let gate = &self.gate;
         if gate.ready.load(Ordering::Acquire) {
             return;
         }
@@ -1091,7 +949,7 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> StreamJob<T, S> {
         } else {
             let mut backoff = Backoff::new();
             while !gate.ready.load(Ordering::Acquire) {
-                if self.tracker.copy_failed(copy) {
+                if self.failed.load(Ordering::Acquire) {
                     return;
                 }
                 backoff.snooze();
@@ -1100,69 +958,191 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> StreamJob<T, S> {
     }
 }
 
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> FaultSink for StreamJob<T, S> {
+/// The scheduler-independent part of a fused job: every copy, the fused
+/// geometry and counters, the per-worker workspaces, and the sink.
+///
+/// Global task id `g` resolves through `map` to `(copy, local)`; same-plan
+/// groups use the uniform map (bit-for-bit the historical cyclic
+/// arithmetic) while mixed groups binary-search the prefix-sum offsets.
+/// Successor release and priority ranking follow the same per-copy contract
+/// ([`GroupSucc`], [`WorkStealingPriority::new_shared_offsets`]).
+///
+/// Completion detection rides the [`FaultSink::task_retired`] hook: the
+/// worker that performs a copy's final retire takes the state out of its
+/// slot and delivers it. Every task's short-lived `Arc` clone is dropped
+/// *before* that task's retire increment, and the increments form a
+/// release/acquire chain on the copy's counter, so at the final retire all
+/// other clones are gone and `Arc::try_unwrap` succeeds; a put-back plus the
+/// job-end sweep in [`QrContext::factorize_stream`] covers the theoretical
+/// failure without losing the item.
+struct Group<T: Scalar> {
+    copies: Vec<CopySlot<T>>,
+    map: ItemMap,
+    /// True when every item references the same plan: the successor CSR is
+    /// shared and the per-worker CSR-reference collection is skipped.
+    homogeneous: bool,
+    /// Largest successor batch any copy's task can enable.
+    max_out_degree: usize,
+    remaining: Vec<AtomicUsize>,
+    completed: AtomicUsize,
+    /// Fast path of [`FaultSink::copy_failed`]: no copy has failed yet.
+    any_failed: AtomicBool,
+    ws_slots: Vec<Mutex<Option<Workspace<T>>>>,
+    /// This job's cancel token: user cancellation, the deadline and the
+    /// watchdog funnel into it; workers check it between tasks.
+    cancel: CancelToken,
+    sink: Arc<dyn ItemSink<T>>,
+    /// Span collector of a traced run; each worker records into its own
+    /// [`WorkerTrace`] buffer, merged into this trace when the worker's
+    /// share of the job ends.
+    trace: Option<Arc<ExecutionTrace>>,
+}
+
+impl<T: Scalar<Real = f64>> Group<T> {
+    /// Hands `copy`'s storage and verdict to the sink. Exactly once per
+    /// copy: only the path that took the state out of its slot delivers.
+    fn deliver(&self, copy: usize, state: FactorizationState<T>, error: Option<QrError>) {
+        let (tiles, t_geqrt, t_elim) = state.into_parts();
+        self.sink.item_done(
+            copy,
+            ItemDone {
+                meta: self.copies[copy].meta.clone(),
+                tiles,
+                t_geqrt,
+                t_elim,
+                error,
+            },
+        );
+    }
+
+    /// Dismantles a fully-retired copy and delivers it. Called by the worker
+    /// that performed the copy's final retire; a copy whose `Arc` is still
+    /// briefly shared is put back for the job-end sweep.
+    fn finish_copy(&self, copy: usize) {
+        let slot = &self.copies[copy];
+        let taken = slot.state.lock().take();
+        let Some(arc) = taken else { return };
+        match Arc::try_unwrap(arc) {
+            Ok(state) => self.deliver(copy, state, slot.error.lock().take()),
+            // Possible only if an Arc count decrement is not yet visible,
+            // which the retire chain rules out in practice — keep the item
+            // safe regardless.
+            Err(arc) => *slot.state.lock() = Some(arc),
+        }
+    }
+}
+
+impl<T: Scalar<Real = f64>> FaultSink for Group<T> {
     fn copy_failed(&self, copy: usize) -> bool {
-        self.tracker.copy_failed(copy)
+        // The relaxed fast-path load is safe: a stale `false` at worst runs
+        // one more task of an already-failed copy against garbage tile data,
+        // which only that copy's (already discarded) output can observe.
+        // Tasks released *after* the panic was recorded see the flag through
+        // the dependency counter's release/acquire chain.
+        self.any_failed.load(Ordering::Relaxed) && self.copies[copy].failed.load(Ordering::Acquire)
     }
 
     fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send)) {
-        self.tracker.record_panic(copy, local, payload);
+        let slot = &self.copies[copy];
+        let mut error = slot.error.lock();
+        if error.is_none() {
+            *error = Some(QrError::TaskPanicked {
+                kind: slot.meta.core.dag.tasks[local].kind,
+                message: payload_message(payload).to_string(),
+            });
+        }
+        slot.failed.store(true, Ordering::Release);
+        self.any_failed.store(true, Ordering::Release);
     }
 
     fn task_retired(&self, copy: usize) {
-        if self.tracker.retire(copy) == self.tracker.tasks_of(copy) {
+        let slot = &self.copies[copy];
+        if slot.retired.fetch_add(1, Ordering::AcqRel) + 1 == slot.meta.core.dag.len() {
             self.finish_copy(copy);
         }
     }
 }
 
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for StreamJob<T, S> {
-    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-        let mut slot = self.ws_slots[w].lock();
-        let ws = slot.as_mut().expect("one workspace is staged per worker");
+/// The one job type that executes a DAG: a [`Group`] of copies plus this
+/// job's scheduler instance (generic so the hot loop pays no virtual
+/// dispatch). One factorization is a group of one; a batch is a group with
+/// a collecting sink; the service streams groups through its own sink.
+struct StreamJob<T: Scalar, S: Scheduler> {
+    group: Group<T>,
+    sched: S,
+}
+
+impl<T: Scalar<Real = f64>, S: Scheduler> StreamJob<T, S> {
+    /// Worker `w`'s share of the job. `inline` carries the submitter-side
+    /// controls when the job runs on the caller thread (no pool).
+    fn drive(&self, w: usize, heartbeat: &AtomicUsize, inline: Option<&RunCtl>) {
+        let g = &self.group;
+        let mut ws_slot = g.ws_slots[w].lock();
+        let ws = ws_slot
+            .as_mut()
+            .expect("one workspace is staged per worker");
         // Heterogeneous groups collect the per-copy CSR references once per
         // worker run — O(group), bounded by the service's max_group —
         // instead of materializing any fused adjacency; same-plan groups
         // share the single CSR, allocation-free.
         let succ_refs: Vec<&SuccessorsCsr>;
-        let succ = if self.homogeneous {
-            GroupSucc::Shared(&self.metas[0].core.succ)
+        let succ = if g.homogeneous {
+            GroupSucc::Shared(&g.copies[0].meta.core.succ)
         } else {
-            succ_refs = self.metas.iter().map(|m| &m.core.succ).collect();
+            succ_refs = g.copies.iter().map(|c| &c.meta.core.succ).collect();
             GroupSucc::PerCopy(&succ_refs)
         };
         let ctl = DriveCtl {
-            num_tasks: self.remaining.len(),
-            map: &self.map,
+            map: &g.map,
             succ,
-            remaining: &self.remaining,
-            completed: &self.completed,
-            aborted: &self.aborted,
-            max_out_degree: self.max_out_degree,
-            cancel: Some(&self.cancel),
-            faults: Some(self),
+            remaining: &g.remaining,
+            completed: &g.completed,
+            max_out_degree: g.max_out_degree,
+            cancel: &g.cancel,
+            inline,
+            faults: g,
         };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
-            let (copy, local) = self.map.locate(g);
-            let meta = &self.metas[copy];
+        let mut trace = match &g.trace {
+            Some(t) => t.worker_with_capacity(g.remaining.len()),
+            None => WorkerTrace::disabled(),
+        };
+        drive_worker(&ctl, &self.sched, w, heartbeat, &mut |copy, local| {
+            let slot = &g.copies[copy];
             #[cfg(feature = "fault-injection")]
-            crate::fault::check(self.probes[copy], local);
+            crate::fault::check(slot.probe, local);
             // Clone the Arc out under a brief lock so same-copy tasks on
             // other workers never serialize on the slot; the clone drops
-            // before this task's retire increment (see `StreamJob` docs).
-            let state = self.states[copy].lock().as_ref().map(Arc::clone);
+            // before this task's retire increment (see `Group` docs).
+            let state = slot.state.lock().as_ref().map(Arc::clone);
             if let Some(state) = state {
                 // Mixed-ib groups: the workspace buffers are sized from the
                 // group's largest nb and serve every smaller tile; only the
                 // panel width switches, allocation-free
                 // ([`Workspace::set_inner_block`]).
-                if ws.ib() != meta.ib {
-                    ws.set_inner_block(meta.ib);
+                if ws.ib() != slot.meta.ib {
+                    ws.set_inner_block(slot.meta.ib);
                 }
-                self.ensure_tiled(copy, &state);
-                state.run_ws(meta.core.dag.tasks[local].kind, ws);
+                slot.ensure_tiled(&state);
+                let kind = slot.meta.core.dag.tasks[local].kind;
+                trace.record(kind, || state.run_ws(kind, ws));
             }
         });
+    }
+}
+
+impl<T: Scalar<Real = f64>, S: Scheduler + Send> Job for StreamJob<T, S> {
+    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
+        self.drive(w, heartbeat, None);
+    }
+}
+
+/// The sink of the joined entry points: slot `i` receives item `i`, and the
+/// caller reads every slot once the call returns.
+struct Collect<T: Scalar>(Mutex<Vec<Option<ItemDone<T>>>>);
+
+impl<T: Scalar> ItemSink<T> for Collect<T> {
+    fn item_done(&self, index: usize, done: ItemDone<T>) {
+        self.0.lock()[index] = Some(done);
     }
 }
 
@@ -1172,8 +1152,8 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for StreamJob<T, S> 
 /// Build one context per service (or per thread-count/scheduler choice) and
 /// reuse it for every factorization; combine with a [`QrPlan`] per problem
 /// shape so repeated factorizations skip planning entirely. With
-/// `threads == 1` no pool is spawned and every factorization runs on the
-/// calling thread in topological order (the bitwise reference order).
+/// `threads == 1` no pool is spawned: the same job runs inline on the
+/// calling thread as its only worker.
 ///
 /// The context is `Sync`; concurrent `factorize` calls from several threads
 /// are safe but serialized — the pool runs one job at a time.
@@ -1253,6 +1233,10 @@ impl QrContext {
     /// still stops the *other* workers from burning CPU, but the call
     /// returns only once the wedged task does. Pick a bound comfortably
     /// above the longest single kernel task, not the whole factorization.
+    ///
+    /// The watchdog has no effect at `threads == 1`: the job then runs
+    /// inline on the calling thread, and no waiting submitter is left to
+    /// watch it.
     pub fn with_watchdog(mut self, bound: Duration) -> Self {
         self.watchdog = Some(bound);
         self
@@ -1268,7 +1252,8 @@ impl QrContext {
         self.cancel.clone()
     }
 
-    /// Number of worker threads (1 = sequential, no pool).
+    /// Number of worker threads (1 = inline on the calling thread, no
+    /// pool).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -1288,7 +1273,7 @@ impl QrContext {
         plan: &QrPlan<T>,
         a: &Matrix<T>,
     ) -> Result<QrFactorization<T>, QrError> {
-        self.factorize_inner(plan, a, None)
+        self.factorize_inner(plan, a, None, None)
     }
 
     /// [`QrContext::factorize`] with a relative deadline: if the
@@ -1302,42 +1287,21 @@ impl QrContext {
         a: &Matrix<T>,
         timeout: Duration,
     ) -> Result<QrFactorization<T>, QrError> {
-        self.factorize_inner(plan, a, Some(Instant::now() + timeout))
+        self.factorize_inner(plan, a, Some(Instant::now() + timeout), None)
     }
 
-    fn factorize_inner<T: Scalar<Real = f64>>(
+    /// One factorization is a batch of one; `trace`, when given, collects
+    /// every task's span ([`crate::driver::qr_factorize_traced`]).
+    pub(crate) fn factorize_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         a: &Matrix<T>,
         deadline: Option<Instant>,
+        trace: Option<Arc<ExecutionTrace>>,
     ) -> Result<QrFactorization<T>, QrError> {
-        if a.shape() != (plan.m, plan.n) {
-            return Err(QrError::ShapeMismatch {
-                expected: (plan.m, plan.n),
-                got: a.shape(),
-            });
-        }
-        if plan.check_finite {
-            if let Some((row, col)) = find_non_finite_dense(a) {
-                return Err(QrError::NonFiniteInput { row, col });
-            }
-        }
-        let tiled = TiledMatrix::from_dense_padded(a, plan.nb);
-        let ((tiles, t_geqrt, t_elim), err) = self.run_plan(plan, tiled, deadline);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(QrFactorization::from_parts(
-                plan.m,
-                plan.n,
-                plan.nb,
-                plan.ib,
-                tiles,
-                t_geqrt,
-                t_elim,
-                Arc::clone(&plan.core.dag),
-                plan.t_recycler(),
-            )),
-        }
+        self.batch_inner(plan, std::slice::from_ref(a), deadline, trace)
+            .pop()
+            .expect("one matrix in, one result out")
     }
 
     /// Factorizes caller-owned tile storage **in place** — the tiles are
@@ -1351,11 +1315,10 @@ impl QrContext {
     /// The grid must match the plan: `p × q` tiles of order `nb` (the shape
     /// [`TiledMatrix::from_dense_padded`] produces for an `m × n` matrix).
     ///
-    /// If a kernel panics (a bug, not a recoverable condition), the panic is
-    /// propagated; the tile buffer keeps its plan-shaped grid but its
-    /// numeric contents are lost (reset to zeros), so a
-    /// `catch_unwind`-and-retry caller can refill the same buffer and carry
-    /// on — the pool itself survives the panic.
+    /// A kernel panic is contained and reported as
+    /// [`QrError::TaskPanicked`]; the buffer keeps its plan-shaped grid but
+    /// holds partially factored values, so a retrying caller refills it
+    /// first. The pool survives either way.
     pub fn factorize_into<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
@@ -1411,7 +1374,7 @@ impl QrContext {
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, None)
+        self.batch_inner(plan, mats, None, None)
     }
 
     /// [`QrContext::factorize_batch`] with a relative deadline shared by the
@@ -1424,56 +1387,51 @@ impl QrContext {
         mats: &[Matrix<T>],
         timeout: Duration,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, Some(Instant::now() + timeout))
+        self.batch_inner(plan, mats, Some(Instant::now() + timeout), None)
     }
 
+    /// A batch is a group with a collecting sink. Conforming matrices are
+    /// tiled here, by the caller — a borrowed input is never cloned into
+    /// the job.
     fn batch_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
         deadline: Option<Instant>,
+        trace: Option<Arc<ExecutionTrace>>,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        let mut slots: Vec<Result<(), QrError>> = Vec::with_capacity(mats.len());
-        let mut tiled = Vec::with_capacity(mats.len());
-        for a in mats {
-            if a.shape() != (plan.m, plan.n) {
-                slots.push(Err(QrError::ShapeMismatch {
-                    expected: (plan.m, plan.n),
-                    got: a.shape(),
-                }));
-            } else if let Some((row, col)) = plan
-                .check_finite
-                .then(|| find_non_finite_dense(a))
-                .flatten()
-            {
-                slots.push(Err(QrError::NonFiniteInput { row, col }));
-            } else {
-                slots.push(Ok(()));
-                tiled.push(TiledMatrix::from_dense_padded(a, plan.nb));
-            }
-        }
-        let mut items = self.run_batch(plan, tiled, deadline).into_iter();
+        let mut entries = Vec::with_capacity(mats.len());
+        let slots: Vec<Option<QrError>> = mats
+            .iter()
+            .map(|a| {
+                let rejected = if a.shape() != (plan.m, plan.n) {
+                    Some(QrError::ShapeMismatch {
+                        expected: (plan.m, plan.n),
+                        got: a.shape(),
+                    })
+                } else {
+                    plan.non_finite_in(a)
+                        .map(|(row, col)| QrError::NonFiniteInput { row, col })
+                };
+                if rejected.is_none() {
+                    entries.push(StreamEntry {
+                        plan,
+                        input: StreamInput::Tiled(TiledMatrix::from_dense_padded(a, plan.nb)),
+                        probe: entries.len(),
+                    });
+                }
+                rejected
+            })
+            .collect();
+        let mut done = self.run_collect(entries, deadline, trace).into_iter();
         slots
             .into_iter()
-            .map(|slot| {
-                slot.and_then(|()| {
-                    let ((tiles, t_geqrt, t_elim), err) =
-                        items.next().expect("one result per conforming matrix");
-                    match err {
-                        Some(e) => Err(e),
-                        None => Ok(QrFactorization::from_parts(
-                            plan.m,
-                            plan.n,
-                            plan.nb,
-                            plan.ib,
-                            tiles,
-                            t_geqrt,
-                            t_elim,
-                            Arc::clone(&plan.core.dag),
-                            plan.t_recycler(),
-                        )),
-                    }
-                })
+            .map(|rejected| match rejected {
+                Some(e) => Err(e),
+                None => done
+                    .next()
+                    .expect("one result per conforming matrix")
+                    .into_factorization(),
             })
             .collect()
     }
@@ -1491,10 +1449,10 @@ impl QrContext {
     /// small number of bookkeeping allocations per call — none per tile,
     /// per task or per `T` factor (see the [module docs](self)).
     ///
-    /// If a kernel panics mid-batch, the panic is propagated; every
-    /// conforming buffer keeps its plan-shaped grid (contents reset to
-    /// zeros), so a `catch_unwind`-and-retry caller can refill the same
-    /// buffers — the pool itself survives the panic.
+    /// Every conforming buffer comes back in every outcome: factored on
+    /// success, plan-shaped but partially overwritten after a contained
+    /// panic, a cancellation or a deadline, and bitwise untouched when the
+    /// call was rejected before any kernel ran.
     pub fn factorize_batch_into<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
@@ -1517,127 +1475,134 @@ impl QrContext {
         self.batch_into_inner(plan, tiles, Some(Instant::now() + timeout))
     }
 
+    /// The in-place batch: conforming buffers move into the job and come
+    /// back through the collecting sink in every outcome.
     fn batch_into_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         tiles: &mut [TiledMatrix<T>],
         deadline: Option<Instant>,
     ) -> Vec<Result<QrReflectors<T>, QrError>> {
-        let mut slots: Vec<Result<(), QrError>> = Vec::with_capacity(tiles.len());
-        let mut owned = Vec::with_capacity(tiles.len());
-        for t in tiles.iter_mut() {
-            let got = (t.tile_rows(), t.tile_cols(), t.tile_size());
-            if got != (plan.p, plan.q, plan.nb) {
-                slots.push(Err(QrError::PlanMismatch {
-                    expected: (plan.p, plan.q, plan.nb),
-                    got,
-                }));
-            } else if let Some((row, col)) = plan
-                .check_finite
-                .then(|| find_non_finite_tiled(t))
-                .flatten()
-            {
-                // Rejected before submission: the buffer is left untouched.
-                slots.push(Err(QrError::NonFiniteInput { row, col }));
-            } else {
-                slots.push(Ok(()));
-                owned.push(std::mem::replace(
-                    t,
-                    TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb),
-                ));
-            }
-        }
-        // If the fused job panics *uncontained* (a bug in the runtime
-        // itself — kernel panics are caught per task), the unwind must not
-        // leave the caller's conforming slots holding the 0 × 0
-        // placeholders: the guard puts plan-shaped zero grids back so a
-        // recover-and-retry caller can refill the same buffers.
+        let mut entries = Vec::with_capacity(tiles.len());
+        let slots: Vec<Option<QrError>> = tiles
+            .iter_mut()
+            .map(|t| {
+                let got = (t.tile_rows(), t.tile_cols(), t.tile_size());
+                let rejected = if got != (plan.p, plan.q, plan.nb) {
+                    Some(QrError::PlanMismatch {
+                        expected: (plan.p, plan.q, plan.nb),
+                        got,
+                    })
+                } else {
+                    // Rejected before submission: the buffer is left untouched.
+                    plan.check_finite
+                        .then(|| find_non_finite_tiled(t))
+                        .flatten()
+                        .map(|(row, col)| QrError::NonFiniteInput { row, col })
+                };
+                if rejected.is_none() {
+                    let placeholder = TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb);
+                    entries.push(StreamEntry {
+                        plan,
+                        input: StreamInput::Tiled(std::mem::replace(t, placeholder)),
+                        probe: entries.len(),
+                    });
+                }
+                rejected
+            })
+            .collect();
+        // If the job panics *uncontained* (a bug in the runtime itself —
+        // kernel panics are caught per task), the unwind must not leave the
+        // caller's conforming slots holding the 0 × 0 placeholders: the
+        // guard puts plan-shaped zero grids back so a recover-and-retry
+        // caller can refill the same buffers.
         let guard = RestorePlaceholders {
-            taken: slots.iter().map(Result::is_ok).collect(),
+            taken: slots.iter().map(Option::is_none).collect(),
             tiles,
             p: plan.p,
             q: plan.q,
             nb: plan.nb,
         };
-        let mut items = self.run_batch(plan, owned, deadline).into_iter();
-        let mut out = Vec::with_capacity(guard.tiles.len());
-        for (slot, t) in slots.into_iter().zip(guard.tiles.iter_mut()) {
-            out.push(slot.and_then(|()| {
-                let ((factored, t_geqrt, t_elim), err) =
-                    items.next().expect("one result per conforming buffer");
-                // The caller gets their buffer back in every outcome: the
-                // factored tiles on success, the partially overwritten tiles
-                // on a contained fault or cancellation (grid intact, values
-                // to be refilled), and the bitwise-untouched tiles when the
-                // run was rejected before any kernel executed.
-                *t = factored;
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(QrReflectors {
-                        m: plan.m,
-                        n: plan.n,
-                        nb: plan.nb,
-                        ib: plan.ib,
-                        p: plan.p,
-                        q: plan.q,
-                        dag: Arc::clone(&plan.core.dag),
-                        t_geqrt,
-                        t_elim,
-                        recycler: plan.t_recycler(),
-                    }),
+        let mut done = self.run_collect(entries, deadline, None).into_iter();
+        slots
+            .into_iter()
+            .zip(guard.tiles.iter_mut())
+            .map(|(rejected, t)| match rejected {
+                Some(e) => Err(e),
+                None => {
+                    let (tiles, result) = done
+                        .next()
+                        .expect("one result per conforming buffer")
+                        .into_reflectors();
+                    *t = tiles;
+                    result
                 }
-            }));
-        }
-        out
+            })
+            .collect()
     }
 
-    /// Executes the plan's DAG against `tiled`, sequentially or on the pool,
-    /// and returns the factored parts plus the item's fault, if any.
-    #[allow(clippy::type_complexity)]
-    fn run_plan<T: Scalar<Real = f64>>(
+    /// Runs `entries` through the engine with a collecting sink and returns
+    /// every item in entry order.
+    fn run_collect<T: Scalar<Real = f64>>(
         &self,
-        plan: &QrPlan<T>,
-        tiled: TiledMatrix<T>,
+        entries: Vec<StreamEntry<'_, T>>,
         deadline: Option<Instant>,
-    ) -> (
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
+        trace: Option<Arc<ExecutionTrace>>,
+    ) -> Vec<ItemDone<T>> {
+        let sink = Arc::new(Collect(Mutex::new(
+            (0..entries.len()).map(|_| None).collect(),
+        )));
+        self.factorize_stream(entries, Arc::clone(&sink) as _, deadline, trace);
+        let slots = std::mem::take(&mut *sink.0.lock());
+        slots
+            .into_iter()
+            .map(|done| done.expect("the engine delivers every item exactly once"))
+            .collect()
+    }
+
+    /// The execution engine behind every entry point and the service layer
+    /// ([`crate::service`]): factors `items` as one fused job and delivers
+    /// each item to `sink` **the moment its last task retires** instead of
+    /// joining the whole group. Each item carries its **own** plan, so one
+    /// job may span different shapes, tile sizes and elimination trees.
+    ///
+    /// With a pool, the job runs on every worker under the submitter-side
+    /// controls: user cancellation, `deadline` and the watchdog are polled
+    /// by the waiting caller, so the workers never read the clock. With
+    /// `threads == 1` the same job runs inline on the caller thread as
+    /// worker 0, which checks the user token and the deadline between
+    /// tasks. `trace`, when given, collects every task's span.
+    ///
+    /// Id mapping: global task id `g` resolves to `(copy, local)` through an
+    /// [`ItemMap`]. When every item references the same plan the map is
+    /// uniform — `g → (g / n, g % n)`, bit-for-bit the historical cyclic
+    /// arithmetic, with the shared successor CSR — so same-plan groups
+    /// execute identically to the pre-offset runtime. Mixed groups use
+    /// prefix-sum offsets, per-copy successor indexing, per-copy priority
+    /// tables ([`WorkStealingPriority::new_shared_offsets`]) and a workspace
+    /// checkout from the plan with the **largest** tile order (every buffer
+    /// is sized from `nb` alone, so it serves every smaller tile — tasks
+    /// switch the panel width in place via [`Workspace::set_inner_block`]).
+    /// Dense inputs are tiled lazily by the first worker to touch each copy,
+    /// keeping the submitting thread free.
+    ///
+    /// Exactly-once guarantee: `sink.item_done` is called exactly once per
+    /// element of `items`, in every outcome — success, contained panic,
+    /// cancellation/deadline/stall, and pre-run rejection — and always with
+    /// the copy's storage, so in-place callers get their buffers back.
+    pub(crate) fn factorize_stream<T: Scalar<Real = f64>>(
+        &self,
+        items: Vec<StreamEntry<'_, T>>,
+        sink: Arc<dyn ItemSink<T>>,
+        deadline: Option<Instant>,
+        trace: Option<Arc<ExecutionTrace>>,
     ) {
-        self.run_batch(plan, vec![tiled], deadline)
-            .pop()
-            .expect("one matrix in, one result out")
-    }
-
-    /// Executes the plan's DAG against every matrix of the batch — the
-    /// single shared engine behind [`QrContext::factorize`],
-    /// [`QrContext::factorize_into`] and both batch entry points. With a
-    /// pool, the whole batch is one fused job (one wake-up); without one,
-    /// the matrices run back to back on the calling thread in topological
-    /// order (the bitwise reference order).
-    #[allow(clippy::type_complexity)]
-    fn run_batch<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        tiled: Vec<TiledMatrix<T>>,
-        deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
-        if tiled.is_empty() {
-            return Vec::new();
-        }
+        let Some(first) = items.first().map(|e| e.plan) else {
+            return;
+        };
         // Fail fast before any state is built or kernel runs: a sticky
         // cancellation or an already-expired deadline rejects every item
-        // with its tile buffers bitwise untouched.
+        // with its input bitwise untouched.
         let pre = if self.cancel.is_cancelled() {
             Some(QrError::Cancelled)
         } else if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -1646,141 +1611,52 @@ impl QrContext {
             None
         };
         if let Some(e) = pre {
-            return tiled
-                .into_iter()
-                .map(|t| ((t, Vec::new(), Vec::new()), Some(e.clone())))
-                .collect();
-        }
-        let states = plan.build_states(tiled);
-        match &self.pool {
-            None => self.run_batch_sequential(plan, states, deadline),
-            Some(pool) => {
-                let copies = states.len();
-                let total = plan.core.dag.len() * copies;
-                let threads = pool.threads();
-                match self.scheduler {
-                    SchedulerKind::LockedFifo => {
-                        self.run_batch_job(plan, pool, states, LockedFifo::new(total), deadline)
-                    }
-                    SchedulerKind::WorkStealing => self.run_batch_job(
-                        plan,
-                        pool,
-                        states,
-                        WorkStealing::new(total, threads),
-                        deadline,
-                    ),
-                    SchedulerKind::WorkStealingPriority => self.run_batch_job(
-                        plan,
-                        pool,
-                        states,
-                        WorkStealingPriority::new_shared_cyclic(
-                            plan.core.priorities(),
-                            threads,
-                            copies,
-                        ),
-                        deadline,
-                    ),
-                }
+            for (copy, StreamEntry { plan, input, .. }) in items.into_iter().enumerate() {
+                let tiles = match input {
+                    StreamInput::Tiled(t) => t,
+                    StreamInput::Dense(_) => TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb),
+                };
+                sink.item_done(
+                    copy,
+                    ItemDone {
+                        meta: plan.item_meta(),
+                        tiles,
+                        t_geqrt: Vec::new(),
+                        t_elim: Vec::new(),
+                        error: Some(e.clone()),
+                    },
+                );
             }
+            return;
         }
-    }
-
-    /// The `threads == 1` engine: every copy runs on the calling thread in
-    /// topological order (the bitwise reference order), with the same
-    /// robustness semantics as the pool path — per-task cancellation and
-    /// deadline checks, and per-task panic containment that fails only the
-    /// current copy while later copies still run.
-    #[allow(clippy::type_complexity)]
-    fn run_batch_sequential<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        states: Vec<FactorizationState<T>>,
-        deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
-        let mut ws = plan.checkout_workspaces(1);
-        // A cancellation or expired deadline stops the whole run: the copy
-        // it interrupted and every later copy report the cause.
-        let mut stop: Option<QrError> = None;
-        let mut errors: Vec<Option<QrError>> = Vec::with_capacity(states.len());
-        for (copy, state) in states.iter().enumerate() {
-            if stop.is_some() {
-                errors.push(stop.clone());
-                continue;
-            }
-            let mut item_err: Option<QrError> = None;
-            for (local, task) in plan.core.dag.tasks.iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    stop = Some(QrError::Cancelled);
-                    break;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    stop = Some(QrError::DeadlineExceeded);
-                    break;
-                }
-                // `copy`/`local` address the fault-injection probe; without
-                // the feature they are deliberately unused.
-                let _ = (copy, local);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-injection")]
-                    crate::fault::check(copy, local);
-                    state.run_ws(task.kind, &mut ws[0])
-                }));
-                if let Err(payload) = result {
-                    item_err = Some(QrError::TaskPanicked {
-                        kind: task.kind,
-                        message: payload_message(&*payload).to_string(),
-                    });
-                    break;
-                }
-            }
-            errors.push(item_err.or_else(|| stop.clone()));
-        }
-        plan.restore_workspaces(ws);
-        states
-            .into_iter()
-            .zip(errors)
-            .map(|(s, e)| (s.into_parts(), e))
-            .collect()
-    }
-
-    /// Packages a batch of factorizations as one fused pool job, runs it
-    /// under the submitter-side controls (cancellation, deadline, watchdog),
-    /// and recovers the states, workspaces and per-item verdicts (the job is
-    /// uniquely owned again once every worker signalled completion).
-    #[allow(clippy::type_complexity)]
-    fn run_batch_job<T: Scalar<Real = f64>, S: Scheduler + Send + Sync + 'static>(
-        &self,
-        plan: &QrPlan<T>,
-        pool: &WorkerPool,
-        states: Vec<FactorizationState<T>>,
-        sched: S,
-        deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
-        let threads = pool.threads();
-        let n = plan.core.dag.len();
-        let copies = states.len();
-        // Roots of every copy of the DAG, offset into that copy's id range.
-        let mut roots = Vec::with_capacity(plan.core.roots.len() * copies);
-        for copy in 0..copies {
-            roots.extend(plan.core.roots.iter().map(|&r| copy * n + r));
-        }
-        sched.seed(&mut roots);
-        let mut remaining = Vec::with_capacity(n * copies);
-        for _ in 0..copies {
+        let threads = self.pool.as_ref().map_or(1, WorkerPool::threads);
+        let k = items.len();
+        let homogeneous = items.iter().all(|e| std::ptr::eq(e.plan, first));
+        let map = if homogeneous {
+            ItemMap::uniform(first.task_count(), k)
+        } else {
+            let counts: Vec<usize> = items.iter().map(|e| e.plan.task_count()).collect();
+            ItemMap::from_counts(&counts)
+        };
+        // The group's workspaces come from the largest-nb plan: its buffers
+        // serve every smaller tile order in the group.
+        let ws_owner = items
+            .iter()
+            .map(|e| e.plan)
+            .max_by_key(|p| p.nb)
+            .expect("group is non-empty");
+        let max_out_degree = items
+            .iter()
+            .map(|e| e.plan.core.max_out_degree)
+            .max()
+            .unwrap_or(0);
+        let mut roots = Vec::new();
+        let mut remaining = Vec::with_capacity(map.total());
+        let mut copies = Vec::with_capacity(k);
+        let mut recycled = Vec::new();
+        for (copy, StreamEntry { plan, input, probe }) in items.into_iter().enumerate() {
+            let base = map.base(copy);
+            roots.extend(plan.core.roots.iter().map(|&r| base + r));
             remaining.extend(
                 plan.core
                     .dag
@@ -1788,386 +1664,124 @@ impl QrContext {
                     .iter()
                     .map(|t| AtomicUsize::new(t.deps.len())),
             );
-        }
-        let job = Arc::new(BatchJob {
-            states,
-            core: Arc::clone(&plan.core),
-            sched,
-            remaining,
-            completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            ws_slots: plan
-                .checkout_workspaces(threads)
-                .into_iter()
-                .map(|ws| Mutex::new(Some(ws)))
-                .collect(),
-            tracker: ItemTracker::new(Arc::clone(&plan.core.dag), copies),
-            // A fresh per-job token: the submitter's wait loop forwards user
-            // cancellation into it and triggers it on deadline/stall, so
-            // internal causes never poison the context's sticky handle.
-            cancel: CancelToken::new(),
-        });
-        pool.run_controlled(
-            Arc::clone(&job) as Arc<dyn Job>,
-            Some(RunCtl {
-                job_cancel: job.cancel.clone(),
-                user_cancel: self.cancel.clone(),
-                deadline,
-                stall_bound: self.watchdog,
-            }),
-        );
-        // `run_controlled` returns only after every worker dropped its
-        // reference to the job (and the pool's own slot was cleared), so the
-        // Arc is uniquely owned again.
-        let job = Arc::into_inner(job)
-            .unwrap_or_else(|| panic!("batch job still shared after the pool ran it"));
-        plan.restore_workspaces(job.ws_slots.into_iter().filter_map(Mutex::into_inner));
-        let cause = job.cancel.cause();
-        let tracker = job.tracker;
-        job.states
-            .into_iter()
-            .enumerate()
-            .map(|(copy, s)| (s.into_parts(), tracker.verdict(copy, cause)))
-            .collect()
-    }
-
-    /// The streaming engine behind the service layer ([`crate::service`]):
-    /// factors `items` as one fused job like [`QrContext::run_batch`], but
-    /// delivers each item's outcome through `sink` **the moment its last
-    /// task retires** instead of returning a joined vector — and each item
-    /// carries its **own** plan, so one fused job may span different shapes,
-    /// tile sizes and elimination trees.
-    ///
-    /// Id mapping: global task id `g` resolves to `(copy, local)` through an
-    /// [`ItemMap`]. When every item references the same plan (`Arc::ptr_eq`)
-    /// the map is uniform — `g → (g / n, g % n)`, bit-for-bit the historical
-    /// cyclic arithmetic, with the shared successor CSR and the cyclic
-    /// priority ranking — so same-plan groups execute identically to the
-    /// pre-offset runtime. Mixed groups use prefix-sum offsets, per-copy
-    /// successor indexing, per-copy priority tables
-    /// ([`WorkStealingPriority::new_shared_offsets`]) and a workspace
-    /// checkout sized to the **max** tile order across the group's plans.
-    ///
-    /// Exactly-once guarantee: `sink.item_done` is called exactly once per
-    /// element of `items`, in every outcome — success, contained panic,
-    /// cancellation/stall abort, and pre-run rejection.
-    pub(crate) fn factorize_stream<T: Scalar<Real = f64>>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        if items.is_empty() {
-            return;
-        }
-        // Fail fast before any state is built: a sticky cancellation
-        // resolves every item without running a kernel.
-        if self.cancel.is_cancelled() {
-            for copy in 0..items.len() {
-                sink.item_done(copy, Err(QrError::Cancelled));
+            // Same-plan groups draw every copy's T buffers in one checkout,
+            // so the plan's pool retains the whole group's need.
+            if copy == 0 || !homogeneous {
+                recycled = plan.take_t_buffers(if homogeneous { k } else { 1 });
             }
-            return;
-        }
-        match &self.pool {
-            None => self.run_stream_sequential(items, sink),
-            Some(pool) => {
-                let homogeneous = items[1..]
-                    .iter()
-                    .all(|e| Arc::ptr_eq(&e.plan, &items[0].plan));
-                let map = if homogeneous {
-                    ItemMap::uniform(items[0].plan.core.dag.len(), items.len())
-                } else {
-                    let counts: Vec<usize> = items.iter().map(|e| e.plan.core.dag.len()).collect();
-                    ItemMap::from_counts(&counts)
-                };
-                let total = map.total();
-                let threads = pool.threads();
-                match self.scheduler {
-                    SchedulerKind::LockedFifo => self.run_stream_job(
-                        items,
-                        map,
-                        homogeneous,
-                        pool,
-                        LockedFifo::new(total),
-                        sink,
-                    ),
-                    SchedulerKind::WorkStealing => self.run_stream_job(
-                        items,
-                        map,
-                        homogeneous,
-                        pool,
-                        WorkStealing::new(total, threads),
-                        sink,
-                    ),
-                    SchedulerKind::WorkStealingPriority => {
-                        let sched = if homogeneous {
-                            WorkStealingPriority::new_shared_cyclic(
-                                items[0].plan.core.priorities(),
-                                threads,
-                                items.len(),
-                            )
-                        } else {
-                            WorkStealingPriority::new_shared_offsets(
-                                items.iter().map(|e| e.plan.core.priorities()).collect(),
-                                threads,
-                            )
-                        };
-                        self.run_stream_job(items, map, homogeneous, pool, sched, sink)
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`QrContext::run_stream_sequential`]: the `threads == 1` streaming
-    /// engine. Each copy runs to completion on the calling thread (bitwise
-    /// reference order, against its own plan) and its outcome is delivered
-    /// to the sink before the next copy starts — the same per-item streaming
-    /// contract as the pool path, just with trivial ordering.
-    fn run_stream_sequential<T: Scalar<Real = f64>>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        // A cancellation stops the whole run: the copy it interrupted and
-        // every later copy resolve with the cause.
-        let mut stop: Option<QrError> = None;
-        for (copy, entry) in items.into_iter().enumerate() {
-            let StreamEntry { plan, input, probe } = entry;
-            if stop.is_some() {
-                sink.item_done(copy, Err(stop.clone().unwrap()));
-                continue;
-            }
-            let tiled = match input {
-                StreamInput::Tiled(t) => t,
-                StreamInput::Dense(a) => TiledMatrix::from_dense_padded(&a, plan.nb),
-            };
-            let state = plan.build_state(tiled);
-            let mut ws = plan.checkout_workspaces(1);
-            let mut item_err: Option<QrError> = None;
-            for (local, task) in plan.core.dag.tasks.iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    stop = Some(QrError::Cancelled);
-                    break;
-                }
-                // `probe`/`local` address the fault-injection probe;
-                // without the feature they are deliberately unused.
-                let _ = (probe, local);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-injection")]
-                    crate::fault::check(probe, local);
-                    state.run_ws(task.kind, &mut ws[0])
-                }));
-                if let Err(payload) = result {
-                    item_err = Some(QrError::TaskPanicked {
-                        kind: task.kind,
-                        message: payload_message(&*payload).to_string(),
-                    });
-                    break;
-                }
-            }
-            plan.restore_workspaces(ws);
-            let (tiles, t_geqrt, t_elim) = state.into_parts();
-            let outcome = match item_err.or_else(|| stop.clone()) {
-                Some(e) => {
-                    // A failed copy's T buffers go straight back to its own
-                    // plan; its partially factored tiles are dropped.
-                    plan.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
-                    Err(e)
-                }
-                None => Ok(QrFactorization::from_parts(
-                    plan.m,
-                    plan.n,
-                    plan.nb,
-                    plan.ib,
-                    tiles,
-                    t_geqrt,
-                    t_elim,
-                    Arc::clone(&plan.core.dag),
-                    plan.t_recycler(),
-                )),
-            };
-            sink.item_done(copy, outcome);
-        }
-    }
-
-    /// Packages the streaming batch as one fused pool job ([`StreamJob`]),
-    /// runs it under the submitter-side controls, then sweeps up every copy
-    /// the worker-side completion hook did not resolve — copies skipped by a
-    /// cancellation/stall abort (and the theoretical `Arc::try_unwrap`
-    /// put-back) — so the exactly-once sink contract holds in every outcome.
-    ///
-    /// Heterogeneous mechanics: each copy's roots/dependency counts come
-    /// from its own plan (offset by [`ItemMap::base`]); the per-worker
-    /// workspaces are checked out from the plan with the **largest** tile
-    /// order (every buffer is sized from `nb` alone, so they serve every
-    /// smaller tile — tasks switch the panel width in place via
-    /// [`Workspace::set_inner_block`]) and restored to that plan with its
-    /// own `ib` re-established; dense inputs are tiled lazily by the first
-    /// worker to touch each copy, keeping the dispatcher thread free.
-    fn run_stream_job<T: Scalar<Real = f64>, S: Scheduler + Send + Sync + 'static>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        map: ItemMap,
-        homogeneous: bool,
-        pool: &WorkerPool,
-        sched: S,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        let threads = pool.threads();
-        let copies = items.len();
-        let mut roots = Vec::new();
-        for (copy, entry) in items.iter().enumerate() {
-            let base = map.base(copy);
-            roots.extend(entry.plan.core.roots.iter().map(|&r| base + r));
-        }
-        sched.seed(&mut roots);
-        let mut remaining = Vec::with_capacity(map.total());
-        for entry in &items {
-            remaining.extend(
-                entry
-                    .plan
-                    .core
-                    .dag
-                    .tasks
-                    .iter()
-                    .map(|t| AtomicUsize::new(t.deps.len())),
-            );
-        }
-        // The group's workspaces come from the largest-nb plan: its buffers
-        // serve every smaller tile order in the group.
-        let ws_owner = Arc::clone(
-            &items
-                .iter()
-                .max_by_key(|e| e.plan.nb)
-                .expect("group is non-empty")
-                .plan,
-        );
-        let max_out_degree = items
-            .iter()
-            .map(|e| e.plan.core.max_out_degree)
-            .max()
-            .unwrap_or(0);
-        let mut states = Vec::with_capacity(copies);
-        let mut gates = Vec::with_capacity(copies);
-        let mut dags = Vec::with_capacity(copies);
-        let mut probes = Vec::with_capacity(copies);
-        let mut metas = Vec::with_capacity(copies);
-        for entry in items {
-            let StreamEntry { plan, input, probe } = entry;
-            let (state, gate) = match input {
-                StreamInput::Tiled(t) => (plan.build_state(t), TileGate::ready()),
+            let (tiled, gate) = match input {
+                StreamInput::Tiled(t) => (t, TileGate::ready()),
                 // Dense inputs defer the O(m·n) tiling copy to the first
-                // worker that touches the copy: the dispatcher allocates
-                // only a zeroed grid here.
+                // worker that touches the copy: only a zeroed grid here.
                 StreamInput::Dense(a) => (
-                    plan.build_state(TiledMatrix::zeros(plan.p, plan.q, plan.nb)),
+                    TiledMatrix::zeros(plan.p, plan.q, plan.nb),
                     TileGate::pending(a),
                 ),
             };
-            states.push(Mutex::new(Some(Arc::new(state))));
-            gates.push(gate);
-            dags.push(Arc::clone(&plan.core.dag));
-            probes.push(probe);
-            metas.push(StreamItemMeta {
-                core: Arc::clone(&plan.core),
-                m: plan.m,
-                n: plan.n,
-                nb: plan.nb,
-                ib: plan.ib,
-                recycler: plan.t_recycler(),
+            copies.push(CopySlot {
+                state: Mutex::new(Some(Arc::new(plan.build_state(tiled, &mut recycled)))),
+                gate,
+                meta: plan.item_meta(),
+                probe,
+                failed: AtomicBool::new(false),
+                error: Mutex::new(None),
+                retired: AtomicUsize::new(0),
             });
         }
-        let job = Arc::new(StreamJob {
-            states,
-            resolved: (0..copies).map(|_| ClaimFlag::new()).collect(),
-            probes,
-            gates,
-            metas,
+        let group = Group {
+            copies,
             map,
             homogeneous,
             max_out_degree,
-            sched,
             remaining,
             completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
+            any_failed: AtomicBool::new(false),
             ws_slots: ws_owner
                 .checkout_workspaces(threads)
                 .into_iter()
                 .map(|ws| Mutex::new(Some(ws)))
                 .collect(),
-            tracker: ItemTracker::per_copy(dags),
+            // A fresh per-job token: user cancellation is forwarded into it
+            // and the deadline/watchdog trigger it, so internal causes never
+            // poison the context's sticky handle.
             cancel: CancelToken::new(),
-            sink: Arc::clone(sink),
-        });
-        pool.run_controlled(
-            Arc::clone(&job) as Arc<dyn Job>,
-            Some(RunCtl {
-                job_cancel: job.cancel.clone(),
-                user_cancel: self.cancel.clone(),
-                // Streaming submissions carry per-item deadlines at
-                // admission time (the service layer's job); the run itself
-                // is bounded by the stall watchdog and cancellation only.
-                deadline: None,
-                stall_bound: self.watchdog,
-            }),
-        );
-        let job = Arc::into_inner(job)
-            .unwrap_or_else(|| panic!("stream job still shared after the pool ran it"));
+            sink,
+            trace,
+        };
+        let ctl = RunCtl {
+            job_cancel: group.cancel.clone(),
+            user_cancel: self.cancel.clone(),
+            deadline,
+            stall_bound: self.watchdog,
+        };
+        let total = group.remaining.len();
+        let group = match self.scheduler {
+            SchedulerKind::WorkStealing => {
+                self.run_job(group, roots, WorkStealing::new(total, threads), ctl)
+            }
+            SchedulerKind::WorkStealingPriority => {
+                let tables = group
+                    .copies
+                    .iter()
+                    .map(|c| c.meta.core.priorities())
+                    .collect();
+                let sched = WorkStealingPriority::new_shared_offsets(tables, threads);
+                self.run_job(group, roots, sched, ctl)
+            }
+        };
         // Restore with the owner plan's own panel width re-established —
         // the last task a workspace served may have switched it.
-        ws_owner.restore_workspaces(job.ws_slots.into_iter().filter_map(Mutex::into_inner).map(
-            |mut ws| {
-                ws.set_inner_block(ws_owner.ib);
-                ws
-            },
-        ));
-        let cause = job.cancel.cause();
-        for (copy, slot) in job.states.into_iter().enumerate() {
-            if !job.resolved[copy].claim() {
+        ws_owner.restore_workspaces(
+            group
+                .ws_slots
+                .iter()
+                .filter_map(|slot| slot.lock().take())
+                .map(|mut ws| {
+                    ws.set_inner_block(ws_owner.ib);
+                    ws
+                }),
+        );
+        // Deliver every copy the worker-side hook did not: copies cut short
+        // by a cancellation, deadline or stall (and the theoretical
+        // put-back), so the exactly-once contract holds in every outcome.
+        let cause = group.cancel.cause();
+        for (copy, slot) in group.copies.iter().enumerate() {
+            let Some(state) = slot.state.lock().take() else {
                 continue; // the worker hook already delivered this copy
-            }
-            let meta = &job.metas[copy];
+            };
+            let state = Arc::into_inner(state).expect("no task holds a copy once the job drained");
             // A recorded fault wins; an incomplete retire count means the
-            // job was aborted out from under the copy; a complete count
-            // with no error is the put-back case — the copy succeeded.
-            let err = job.tracker.take_error(copy).or_else(|| {
-                (!job.tracker.is_complete(copy))
+            // job was cut short under the copy; a complete count with no
+            // error is the put-back case — the copy succeeded.
+            let error = slot.error.lock().take().or_else(|| {
+                (slot.retired.load(Ordering::Acquire) < slot.meta.core.dag.len())
                     .then(|| QrError::from_cancel(cause.unwrap_or(CancelCause::Cancelled)))
             });
-            match slot.into_inner() {
-                Some(arc) => {
-                    let state = Arc::try_unwrap(arc).unwrap_or_else(|_| {
-                        panic!("stream copy state still shared after the pool drained")
-                    });
-                    let (tiles, t_geqrt, t_elim) = state.into_parts();
-                    let outcome = match err {
-                        Some(e) => {
-                            if let Some(pool) = meta.recycler.upgrade() {
-                                pool.recycle(t_geqrt.into_iter().chain(t_elim));
-                            }
-                            Err(e)
-                        }
-                        None => Ok(QrFactorization::from_parts(
-                            meta.m,
-                            meta.n,
-                            meta.nb,
-                            meta.ib,
-                            tiles,
-                            t_geqrt,
-                            t_elim,
-                            Arc::clone(&meta.core.dag),
-                            meta.recycler.clone(),
-                        )),
-                    };
-                    sink.item_done(copy, outcome);
-                }
-                None => {
-                    // Unreachable — an unresolved copy keeps its state —
-                    // but the exactly-once contract is kept regardless.
-                    sink.item_done(copy, Err(err.unwrap_or(QrError::Stalled)));
-                }
-            }
+            group.deliver(copy, state, error);
         }
+    }
+
+    /// Seeds `sched` with the group's roots and runs the job to completion:
+    /// on the pool, or inline on the caller thread as worker 0 when the
+    /// context has no pool. Returns the group, uniquely owned again.
+    fn run_job<T: Scalar<Real = f64>, S: Scheduler + Send + 'static>(
+        &self,
+        group: Group<T>,
+        mut roots: Vec<usize>,
+        sched: S,
+        ctl: RunCtl,
+    ) -> Group<T> {
+        sched.seed(&mut roots);
+        let job = Arc::new(StreamJob { group, sched });
+        match &self.pool {
+            Some(pool) => pool.run_controlled(Arc::clone(&job) as Arc<dyn Job>, Some(ctl)),
+            None => job.drive(0, &AtomicUsize::new(0), Some(&ctl)),
+        }
+        // `run_controlled` returns only after every worker dropped its
+        // reference to the job (and the pool's own slot was cleared).
+        Arc::into_inner(job)
+            .expect("job still shared after it drained")
+            .group
     }
 }
 
@@ -2193,7 +1807,7 @@ pub struct QrReflectors<T: Scalar> {
     dag: Arc<TaskDag>,
     t_geqrt: Vec<Option<Matrix<T>>>,
     t_elim: Vec<Option<Matrix<T>>>,
-    recycler: std::sync::Weak<TPool<T>>,
+    recycler: Weak<TPool<T>>,
 }
 
 impl<T: Scalar> Drop for QrReflectors<T> {
@@ -2325,7 +1939,8 @@ impl<T: Scalar<Real = f64>> QrReflectors<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_matrix::generate::random_matrix;
+    use tileqr_matrix::generate::{random_matrix, RandomScalar};
+    use tileqr_matrix::Complex64;
 
     #[test]
     fn plan_rejects_bad_shapes() {
@@ -2659,66 +2274,22 @@ mod tests {
 
     #[test]
     fn pool_survives_a_mid_batch_worker_panic() {
-        // A worker panicking mid-job is what a kernel bug looks like to the
-        // pool: drive the plan's real DAG through the real pool with one
-        // poisoned task, then prove the same context still factors real
-        // batches bitwise-correctly afterwards.
-        let ctx = QrContext::new(2).unwrap();
-        let plan: QrPlan<f64> = QrPlan::new(24, 16, QrConfig::new(4)).unwrap();
-
-        struct PoisonJob {
-            core: Arc<PlanCore>,
-            sched: WorkStealing,
-            remaining: Vec<AtomicUsize>,
-            completed: AtomicUsize,
-            aborted: AtomicBool,
-            poison: usize,
-        }
+        // A panic that escapes a job — a runtime bug, since kernel panics
+        // are contained per task — must reach the submitter and leave the
+        // pool serving real batches bitwise-correctly afterwards.
+        struct PoisonJob;
         impl Job for PoisonJob {
-            fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-                let n = self.core.dag.len();
-                // Legacy abort mode (`faults: None`): the panic unwinds out
-                // of the worker and the pool re-raises it on the submitter.
-                let map = ItemMap::uniform(n, 1);
-                let ctl = DriveCtl {
-                    num_tasks: n,
-                    map: &map,
-                    succ: GroupSucc::Shared(&self.core.succ),
-                    remaining: &self.remaining,
-                    completed: &self.completed,
-                    aborted: &self.aborted,
-                    max_out_degree: self.core.max_out_degree,
-                    cancel: None,
-                    faults: None,
-                };
-                drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |idx| {
-                    if idx == self.poison {
-                        panic!("injected mid-batch kernel failure");
-                    }
-                });
+            fn run(&self, w: usize, _heartbeat: &AtomicUsize) {
+                if w == 0 {
+                    panic!("injected mid-batch worker failure");
+                }
             }
         }
-
-        let core = Arc::clone(&plan.core);
-        let sched = WorkStealing::new(core.dag.len(), 2);
-        let mut roots = core.roots.clone();
-        sched.seed(&mut roots);
-        let job = Arc::new(PoisonJob {
-            remaining: core
-                .dag
-                .tasks
-                .iter()
-                .map(|t| AtomicUsize::new(t.deps.len()))
-                .collect(),
-            completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            poison: core.dag.len() / 2,
-            core,
-            sched,
-        });
+        let ctx = QrContext::new(2).unwrap();
+        let plan: QrPlan<f64> = QrPlan::new(24, 16, QrConfig::new(4)).unwrap();
         let pool = ctx.pool.as_ref().expect("2-thread context has a pool");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(job as Arc<dyn Job>);
+            pool.run(Arc::new(PoisonJob));
         }));
         assert!(
             result.is_err(),
@@ -2738,6 +2309,72 @@ mod tests {
         }
     }
 
+    /// The plain topological walk of `plan`'s DAG over `a` — the independent
+    /// reference the engine is pinned to.
+    fn reference_walk<T: Scalar<Real = f64>>(
+        plan: &QrPlan<T>,
+        a: &Matrix<T>,
+    ) -> QrFactorization<T> {
+        let state = FactorizationState::with_inner_block(
+            TiledMatrix::from_dense_padded(a, plan.tile_size()),
+            plan.inner_block(),
+        );
+        let mut ws = Workspace::with_inner_block(plan.tile_size(), plan.inner_block());
+        crate::executor::execute_sequential_with(&plan.core.dag, &mut ws, |kind, ws| {
+            state.run_ws(kind, ws)
+        });
+        let (tiles, t_geqrt, t_elim) = state.into_parts();
+        QrFactorization::from_parts(
+            plan.m(),
+            plan.n(),
+            plan.tile_size(),
+            plan.inner_block(),
+            tiles,
+            t_geqrt,
+            t_elim,
+            Arc::clone(&plan.core.dag),
+            Weak::new(),
+        )
+    }
+
+    fn assert_single_thread_matches_reference_walk<T: RandomScalar + Scalar<Real = f64>>(
+        seed: u64,
+    ) {
+        let ctx = QrContext::new(1).unwrap();
+        let (m, n, nb) = (30usize, 18usize, 6usize);
+        let a: Matrix<T> = random_matrix(m, n, seed);
+        let b: Matrix<T> = random_matrix(m, 3, seed + 1);
+        for (algorithm, family) in [
+            (Algorithm::Greedy, KernelFamily::TT),
+            (Algorithm::FlatTree, KernelFamily::TS),
+            (Algorithm::Fibonacci, KernelFamily::TT),
+        ] {
+            let config = QrConfig::new(nb)
+                .with_inner_block(3)
+                .with_algorithm(algorithm)
+                .with_family(family);
+            let plan: QrPlan<T> = QrPlan::new(m, n, config).unwrap();
+            let reference = reference_walk(&plan, &a);
+            let f = ctx.factorize(&plan, &a).unwrap();
+            let label = format!("{} / {}", algorithm.name(), family.name());
+            assert_eq!(
+                f.factored_tiles(),
+                reference.factored_tiles(),
+                "tiles: {label}"
+            );
+            assert_eq!(f.r(), reference.r(), "R: {label}");
+            assert_eq!(f.apply_qh(&b), reference.apply_qh(&b), "QᴴB: {label}");
+        }
+    }
+
+    /// The inline `threads == 1` engine runs the scheduler's order, not the
+    /// topological walk; tie it bitwise to the walk it replaced.
+    #[test]
+    fn single_thread_engine_matches_the_reference_walk() {
+        assert_single_thread_matches_reference_walk::<f64>(900);
+        assert_single_thread_matches_reference_walk::<Complex64>(901);
+    }
+
     /// Ordered collection sink for the stream tests: slot `i` receives
     /// item `i`'s outcome exactly once.
     type ItemOutcome = Result<QrFactorization<f64>, QrError>;
@@ -2746,10 +2383,10 @@ mod tests {
     }
 
     impl ItemSink<f64> for CollectSink {
-        fn item_done(&self, index: usize, outcome: Result<QrFactorization<f64>, QrError>) {
+        fn item_done(&self, index: usize, done: ItemDone<f64>) {
             let mut slots = self.results.lock();
             assert!(slots[index].is_none(), "item {index} delivered twice");
-            slots[index] = Some(outcome);
+            slots[index] = Some(done.into_factorization());
         }
     }
 
@@ -2794,7 +2431,7 @@ mod tests {
                 .zip(&mats)
                 .enumerate()
                 .map(|(i, (&p, a))| StreamEntry {
-                    plan: Arc::clone(&plans[p]),
+                    plan: &plans[p],
                     // Alternate input modes: even items pre-tiled, odd items
                     // dense (worker-side lazy tiling).
                     input: if i % 2 == 0 {
@@ -2808,7 +2445,7 @@ mod tests {
             let sink = Arc::new(CollectSink {
                 results: Mutex::new((0..round.len()).map(|_| None).collect()),
             });
-            ctx.factorize_stream(entries, &(Arc::clone(&sink) as Arc<dyn ItemSink<f64>>));
+            ctx.factorize_stream(entries, Arc::clone(&sink) as _, None, None);
             let results = sink.results.lock();
             for (i, (&p, a)) in round.iter().zip(&mats).enumerate() {
                 let got = results[i]
@@ -2840,7 +2477,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, a)| StreamEntry {
-                plan: Arc::clone(&plan),
+                plan: &plan,
                 input: StreamInput::Tiled(TiledMatrix::from_dense_padded(a, plan.tile_size())),
                 probe: i,
             })
@@ -2848,7 +2485,7 @@ mod tests {
         let sink = Arc::new(CollectSink {
             results: Mutex::new((0..mats.len()).map(|_| None).collect()),
         });
-        ctx.factorize_stream(entries, &(Arc::clone(&sink) as Arc<dyn ItemSink<f64>>));
+        ctx.factorize_stream(entries, Arc::clone(&sink) as _, None, None);
         let results = sink.results.lock();
         for (i, a) in mats.iter().enumerate() {
             let got = results[i]

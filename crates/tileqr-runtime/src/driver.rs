@@ -27,9 +27,8 @@ use tileqr_core::{EliminationList, TaskKind};
 use tileqr_kernels::{tsmqr_ws, ttmqr_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::executor::{execute_parallel_with_scheduler, execute_sequential_with, SchedulerKind};
-use crate::state::FactorizationState;
-use crate::trace::WorkerTrace;
+use crate::executor::SchedulerKind;
+use crate::trace::ExecutionTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
 /// `min(tile_size, 16)`. Tuned end-to-end by the `factorization_ib` group of
@@ -56,10 +55,9 @@ pub struct QrConfig {
     pub algorithm: Algorithm,
     /// Kernel family (TT or TS).
     pub family: KernelFamily,
-    /// Worker threads (1 = sequential).
+    /// Worker threads (1 = inline on the calling thread).
     pub threads: usize,
-    /// Ready-task scheduling policy of the parallel executor (ignored when
-    /// `threads == 1`).
+    /// Ready-task scheduling policy of the engine.
     pub scheduler: SchedulerKind,
     /// Opt-in pre-submission scan for NaN/Inf entries (off by default — it
     /// costs one pass over the input). Plans built with it reject non-finite
@@ -157,7 +155,7 @@ pub struct QrFactorization<T: Scalar> {
     /// read-only after construction and can be large).
     dag: Arc<TaskDag>,
     /// Weak back-reference to the producing plan's `T`-buffer pool; dead
-    /// (`Weak::new()`) for one-shot factorizations.
+    /// for one-shot factorizations, whose transient plan is gone.
     recycler: Weak<crate::context::TPool<T>>,
 }
 
@@ -199,7 +197,7 @@ pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> Elimina
 /// leading `n × n` block of `R` nor the action of `Q` on vectors padded the
 /// same way.
 pub fn qr_factorize<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
-    factorize_impl(a, config)
+    factorize_impl(a, config, None)
 }
 
 /// Convenience wrapper running the factorization on `threads` worker threads
@@ -209,34 +207,35 @@ pub fn qr_factorize_parallel<T: Scalar<Real = f64>>(
     tile_size: usize,
     threads: usize,
 ) -> QrFactorization<T> {
-    factorize_impl(a, QrConfig::new(tile_size).with_threads(threads))
+    factorize_impl(a, QrConfig::new(tile_size).with_threads(threads), None)
 }
 
 /// Factorizes `a` while recording a per-task execution trace (start/finish
 /// timestamps); see [`crate::trace`]. Returns the factorization together
 /// with the collected trace.
 ///
-/// Each worker records into its own lock-free [`WorkerTrace`] buffer; the
-/// buffers are merged into the returned trace when the pool shuts down, so
-/// tracing adds no lock traffic to the executor hot loop.
+/// The run goes through the same engine as every other factorization: each
+/// worker records into its own lock-free [`WorkerTrace`](crate::trace::WorkerTrace)
+/// buffer, merged into the returned trace when the worker's share of the job
+/// ends, so tracing adds no lock traffic to the hot loop.
 pub fn qr_factorize_traced<T: Scalar<Real = f64>>(
     a: &Matrix<T>,
     config: QrConfig,
-) -> (QrFactorization<T>, crate::trace::ExecutionTrace) {
-    let trace = crate::trace::ExecutionTrace::new();
-    let f = factorize_with(
-        a,
-        config,
-        |dag_len| trace.worker_with_capacity(dag_len),
-        |state, task, ws, wt| wt.record(task, || state.run_ws(task, ws)),
-    );
+) -> (QrFactorization<T>, ExecutionTrace) {
+    let trace = Arc::new(ExecutionTrace::new());
+    let f = factorize_impl(a, config, Some(Arc::clone(&trace)));
+    let trace = Arc::into_inner(trace).expect("the finished job released its trace handle");
     (f, trace)
 }
 
-/// Untraced one-shot path: validates with the historical panics, then runs
-/// through a transient plan + context (the session API), which makes the
-/// free functions thin wrappers over [`crate::context::QrContext`].
-fn factorize_impl<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
+/// One-shot path: validates with the historical panics, then runs through a
+/// transient plan + context (the session API), which makes the free
+/// functions thin wrappers over [`crate::context::QrContext`].
+fn factorize_impl<T: Scalar<Real = f64>>(
+    a: &Matrix<T>,
+    config: QrConfig,
+    trace: Option<Arc<ExecutionTrace>>,
+) -> QrFactorization<T> {
     let (m, n) = a.shape();
     assert!(m >= n, "tiled QR requires a tall or square matrix (m ≥ n)");
     assert!(config.tile_size >= 1, "tile size must be at least 1");
@@ -251,72 +250,8 @@ fn factorize_impl<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrF
     // contains kernel panics as `QrError::TaskPanicked`; re-raising the
     // rendered error (which carries the original panic message) keeps this
     // wrapper panicking while results stay bitwise unchanged.
-    ctx.factorize(&plan, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Traced driver body: tiles the matrix, builds the DAG and executes it on
-/// the scoped executor (per-worker trace buffers borrow the trace, so this
-/// path cannot ride the `'static` jobs of the persistent pool — tracing is a
-/// diagnostic mode, not the hot path).
-///
-/// `make_trace` builds one per-worker trace recorder (given the DAG length
-/// as a capacity hint) and `run` maps a task to its kernel.
-fn factorize_with<'t, T, MT, F>(
-    a: &Matrix<T>,
-    config: QrConfig,
-    make_trace: MT,
-    run: F,
-) -> QrFactorization<T>
-where
-    T: Scalar<Real = f64>,
-    MT: Fn(usize) -> WorkerTrace<'t> + Sync,
-    F: Fn(&FactorizationState<T>, tileqr_core::TaskKind, &mut Workspace<T>, &mut WorkerTrace<'t>)
-        + Sync,
-{
-    let (m, n) = a.shape();
-    assert!(m >= n, "tiled QR requires a tall or square matrix (m ≥ n)");
-    assert!(config.tile_size >= 1, "tile size must be at least 1");
-    let tiled = TiledMatrix::from_dense_padded(a, config.tile_size);
-    let (p, q) = (tiled.tile_rows(), tiled.tile_cols());
-    let list = elimination_list_for(config.algorithm, p, q);
-    let dag = TaskDag::build(&list, config.family);
-
-    // Per-worker scratch: the sequential path reuses a single workspace, the
-    // parallel path builds one per worker thread. Either way, no task on the
-    // hot path allocates. The inner blocking factor must match between the
-    // T-factor storage (state) and the kernels (workspaces).
-    let ib = config.effective_inner_block();
-    let state = FactorizationState::with_inner_block(tiled, ib);
-    if config.threads <= 1 {
-        let mut ws = Workspace::with_inner_block(config.tile_size, ib);
-        let mut wt = make_trace(dag.len());
-        execute_sequential_with(&dag, &mut ws, |task, ws| run(&state, task, ws, &mut wt));
-    } else {
-        execute_parallel_with_scheduler(
-            &dag,
-            config.threads,
-            config.scheduler,
-            || {
-                (
-                    Workspace::with_inner_block(config.tile_size, ib),
-                    make_trace(dag.len()),
-                )
-            },
-            |task, (ws, wt)| run(&state, task, ws, wt),
-        );
-    }
-    let (tiles, t_geqrt, t_elim) = state.into_parts();
-    QrFactorization {
-        m,
-        n,
-        tile_size: config.tile_size,
-        inner_block: ib,
-        tiles,
-        t_geqrt,
-        t_elim,
-        dag: Arc::new(dag),
-        recycler: Weak::new(),
-    }
+    ctx.factorize_inner(&plan, a, None, trace)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Replays the factor tasks of `dag` over a dense matrix `b` with `m` rows,

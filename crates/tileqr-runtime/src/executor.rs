@@ -1,26 +1,22 @@
-//! Dependency-counting DAG executors and the pluggable ready-task scheduler.
+//! The DAG execution engine's worker loop and its pluggable ready-task
+//! scheduler.
 //!
 //! The task graph built by `tileqr-core` is already in topological order with
-//! explicit predecessor lists. Two execution strategies are provided:
-//!
-//! * [`execute_sequential`] / [`execute_sequential_with`] simply walk the
-//!   tasks in order — used by the sequential driver and as the reference for
-//!   correctness tests;
-//! * [`execute_parallel`] / [`execute_parallel_with`] /
-//!   [`execute_parallel_with_scheduler`] run a pool of worker threads that
-//!   pull ready tasks from a [`Scheduler`] and release their successors as
-//!   they finish — a miniature version of the PLASMA/QUARK dynamic scheduler
-//!   used in the paper's experiments.
+//! explicit predecessor lists. Every run — one factorization, a batch, a
+//! traced run, a service group — executes through one engine: the fused
+//! streaming job of [`crate::context`], which calls `drive_worker` once per
+//! pool worker, or once inline on the caller thread when the context has a
+//! single thread. The loop pulls ready tasks from a [`Scheduler`], runs them
+//! under per-task panic containment, and releases their successors as they
+//! finish — a miniature version of the PLASMA/QUARK dynamic scheduler used in
+//! the paper's experiments. [`execute_sequential_with`] is the plain
+//! topological-order walk that tests compare the engine against.
 //!
 //! # Schedulers
 //!
 //! *Which* ready task a worker runs next is delegated to the [`Scheduler`]
-//! trait; [`SchedulerKind`] selects between the three implementations:
+//! trait; [`SchedulerKind`] selects between the two implementations:
 //!
-//! * [`SchedulerKind::LockedFifo`] — the original single
-//!   [`TaskQueue`](crate::sync::TaskQueue) (a mutex-protected FIFO) shared by
-//!   every worker. Kept for ablation: it is correct and simple, but on many
-//!   cores the single lock serializes every push and pop.
 //! * [`SchedulerKind::WorkStealing`] — one Chase–Lev
 //!   [`WorkerDeque`](crate::sync::WorkerDeque) per worker plus a global FIFO
 //!   injector holding the initially-ready tasks. A worker pushes the tasks it
@@ -35,44 +31,28 @@
 //!   tracks the critical path, applied to the runtime itself. The injector is
 //!   seeded in decreasing priority order too.
 //!
-//! All three schedulers preallocate every buffer from `dag.len()` during
-//! setup, preserving the executor's **zero per-task allocation** guarantee
-//! (verified by the counting-allocator integration test).
-//!
-//! The `_with` variants thread a per-worker **workspace** through the task
-//! closure: `make_ws` is called once per worker thread (and once for the
-//! sequential path), and every task executed by that worker receives a
-//! mutable reference to its worker's workspace. With
-//! [`tileqr_kernels::Workspace`] as the workspace type this makes the hot
-//! loop allocation-free: all kernel scratch is preallocated before the first
-//! task runs. Idle workers back off with
-//! [`Backoff`](crate::sync::Backoff) (spin → yield → bounded park), so they
-//! stop burning a core at the tail of the DAG.
+//! Both schedulers preallocate every buffer from the task count during
+//! setup, preserving the engine's **zero per-task allocation** guarantee
+//! (verified by the counting-allocator integration test). Idle workers back
+//! off with [`Backoff`](crate::sync::Backoff) (spin → yield → bounded park),
+//! so they stop burning a core at the tail of the DAG.
 //!
 //! [`TaskDag::priorities`]: tileqr_core::dag::TaskDag::priorities
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 
 use tileqr_core::dag::{SuccessorsCsr, TaskDag};
 use tileqr_core::TaskKind;
 
+use crate::pool::RunCtl;
 use crate::sync::{Backoff, CancelToken, Steal, TaskQueue, WorkerDeque};
 
-/// Executes every task of the DAG in topological order on the current
-/// thread.
-pub fn execute_sequential<F>(dag: &TaskDag, mut run: F)
-where
-    F: FnMut(TaskKind),
-{
-    for task in &dag.tasks {
-        run(task.kind);
-    }
-}
-
 /// Executes every task in topological order, threading a caller-provided
-/// workspace through the task closure.
+/// workspace through the task closure — the reference walk the engine is
+/// tested against.
 pub fn execute_sequential_with<W, F>(dag: &TaskDag, ws: &mut W, mut run: F)
 where
     F: FnMut(TaskKind, &mut W),
@@ -82,8 +62,8 @@ where
     }
 }
 
-/// Selects the ready-task scheduling policy of the parallel executor; see
-/// the [module docs](self) for what each policy does.
+/// Selects the ready-task scheduling policy of the engine; see the
+/// [module docs](self) for what each policy does.
 ///
 /// The default is plain [`SchedulerKind::WorkStealing`]: LIFO owner pops
 /// walk the DAG depth-first over the tiles the worker just touched, which
@@ -94,9 +74,6 @@ where
 /// regime of interest).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// Single mutex-protected FIFO shared by all workers (legacy behavior,
-    /// kept for ablation).
-    LockedFifo,
     /// Per-worker Chase–Lev deques + global injector; LIFO owner pop, FIFO
     /// steal (the default).
     #[default]
@@ -107,27 +84,25 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Short display name (`"locked_fifo"`, `"work_stealing"`,
-    /// `"ws_priority"`), used by the bench layer.
+    /// Short display name (`"work_stealing"`, `"ws_priority"`), used by the
+    /// bench layer.
     pub const fn name(self) -> &'static str {
         match self {
-            SchedulerKind::LockedFifo => "locked_fifo",
             SchedulerKind::WorkStealing => "work_stealing",
             SchedulerKind::WorkStealingPriority => "ws_priority",
         }
     }
 
     /// All scheduler kinds, for ablation sweeps.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::LockedFifo,
+    pub const ALL: [SchedulerKind; 2] = [
         SchedulerKind::WorkStealing,
         SchedulerKind::WorkStealingPriority,
     ];
 }
 
-/// A ready-task multiplexer between the workers of the parallel executor.
+/// A ready-task multiplexer between the workers of the engine.
 ///
-/// The executor drives the scheduler through three calls:
+/// The engine drives the scheduler through three calls:
 ///
 /// 1. [`Scheduler::seed`] once, before any worker starts, with every task
 ///    whose dependency count is zero;
@@ -145,7 +120,7 @@ impl SchedulerKind {
 /// exactly once — either as a `push_ready` continuation or from one `pop` —
 /// and implementations must not allocate in `push_ready`/`pop` (all buffers
 /// are sized from the DAG during construction). A `pop` returning `None` is
-/// *transient* — the executor re-checks its completion counter and retries
+/// *transient* — the engine re-checks its completion counter and retries
 /// with backoff.
 pub trait Scheduler: Sync {
     /// Makes the initially-ready tasks available before the pool starts.
@@ -160,42 +135,6 @@ pub trait Scheduler: Sync {
     /// Returns the next task for worker `w`, or `None` if no runnable task
     /// was found right now.
     fn pop(&self, w: usize) -> Option<usize>;
-}
-
-/// The legacy scheduler: one mutex-protected FIFO shared by every worker.
-pub struct LockedFifo {
-    queue: TaskQueue,
-}
-
-impl LockedFifo {
-    /// Builds the scheduler for a DAG of `num_tasks` tasks.
-    pub fn new(num_tasks: usize) -> Self {
-        LockedFifo {
-            queue: TaskQueue::with_capacity(num_tasks),
-        }
-    }
-}
-
-impl Scheduler for LockedFifo {
-    fn seed(&self, roots: &mut [usize]) {
-        for &r in roots.iter() {
-            self.queue.push(r);
-        }
-    }
-
-    /// Everything goes through the shared queue — no work-first
-    /// continuation, faithfully reproducing the pre-refactor executor for
-    /// the ablation.
-    fn push_ready(&self, _w: usize, ready: &mut [usize]) -> Option<usize> {
-        for &r in ready.iter() {
-            self.queue.push(r);
-        }
-        None
-    }
-
-    fn pop(&self, _w: usize) -> Option<usize> {
-        self.queue.pop()
-    }
 }
 
 /// Per-worker Chase–Lev deques with a global FIFO injector for the
@@ -278,50 +217,20 @@ impl Scheduler for WorkStealing {
     }
 }
 
-/// How [`WorkStealingPriority`] maps a global task id to its critical-path
-/// rank.
-enum PriorityRanking {
-    /// One shared per-shape table reused cyclically: task `t` is ranked by
-    /// `priority[t % period]`. Serves a single DAG (`period == len`) and a
-    /// fused batch of identical copies (ids `copy * period + local`), with
-    /// no per-call priority allocation.
-    Cyclic {
-        priority: std::sync::Arc<[u64]>,
-        period: usize,
-    },
-    /// Heterogeneous fused group: copy `c` owns the contiguous id range
-    /// `offsets[c] .. offsets[c + 1]` and ranks its tasks with its own
-    /// shared per-shape table. Same prefix-sum geometry as
-    /// [`ItemMap::from_counts`].
-    Offsets {
-        tables: Vec<std::sync::Arc<[u64]>>,
-        offsets: Vec<usize>,
-    },
-}
-
-impl PriorityRanking {
-    #[inline]
-    fn rank(&self, t: usize) -> u64 {
-        match self {
-            PriorityRanking::Cyclic { priority, period } => priority[t % period],
-            PriorityRanking::Offsets { tables, offsets } => {
-                let copy = offsets.partition_point(|&o| o <= t) - 1;
-                tables[copy][t - offsets[copy]]
-            }
-        }
-    }
-}
-
 /// Work stealing with critical-path priorities: each batch of newly-enabled
 /// tasks is pushed so the owner pops the task with the largest weighted
 /// critical-path-to-exit first, and stealers take the least critical one.
 pub struct WorkStealingPriority {
     inner: WorkStealing,
-    /// `rank(i)` = weighted longest path from task `i` to its DAG's exit
-    /// ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)),
-    /// looked up through the shared per-shape table(s) so a reusable plan
-    /// hands the same table to many jobs without copying it.
-    ranking: PriorityRanking,
+    /// `tables[c]` is copy `c`'s shared per-shape priority table: the
+    /// weighted longest path from each task to its DAG's exit
+    /// ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)). A
+    /// reusable plan hands the same table to many jobs without copying it.
+    tables: Vec<Arc<[u64]>>,
+    /// `g → (copy, local)` over the tables' lengths — the job's own id
+    /// geometry. Equal-length tables collapse to the uniform map, which
+    /// ranks `g` by `tables[g / n][g % n]`.
+    map: ItemMap,
 }
 
 impl WorkStealingPriority {
@@ -333,46 +242,30 @@ impl WorkStealingPriority {
     /// Builds the scheduler from a shared priority table — the allocation-free
     /// path used by [`QrPlan`](crate::context::QrPlan), which computes the
     /// priorities once and reuses them for every factorization of the shape.
-    pub fn new_shared(priority: std::sync::Arc<[u64]>, workers: usize) -> Self {
-        WorkStealingPriority::new_shared_cyclic(priority, workers, 1)
+    pub fn new_shared(priority: Arc<[u64]>, workers: usize) -> Self {
+        WorkStealingPriority::new_shared_offsets(vec![priority], workers)
     }
 
-    /// Builds the scheduler for a fused batch of `copies` independent
-    /// instances of one DAG: the deques hold `copies * priority.len()` task
-    /// ids, and task `t` is ranked by `priority[t % priority.len()]` — every
-    /// copy shares the single per-shape priority table, so batching adds no
-    /// per-call priority allocation.
-    pub fn new_shared_cyclic(
-        priority: std::sync::Arc<[u64]>,
-        workers: usize,
-        copies: usize,
-    ) -> Self {
-        let period = priority.len().max(1);
-        WorkStealingPriority {
-            inner: WorkStealing::new(priority.len() * copies.max(1), workers),
-            ranking: PriorityRanking::Cyclic { priority, period },
-        }
-    }
-
-    /// Builds the scheduler for a *heterogeneous* fused group: `tables[c]`
-    /// is copy `c`'s shared per-shape priority table, and copy `c` owns the
-    /// contiguous global id range starting at the prefix sum of the earlier
-    /// table lengths — the same `g → (copy, local)` contract as
+    /// Builds the scheduler for a fused group: `tables[c]` is copy `c`'s
+    /// shared per-shape priority table, and copy `c` owns the contiguous
+    /// global id range starting at the prefix sum of the earlier table
+    /// lengths — the same `g → (copy, local)` contract as
     /// [`ItemMap::from_counts`]. Tables are `Arc` clones of each plan's
-    /// cached priorities, so mixed groups cost one small `Vec` per job, not
-    /// a fused priority table.
-    pub fn new_shared_offsets(tables: Vec<std::sync::Arc<[u64]>>, workers: usize) -> Self {
-        let mut offsets = Vec::with_capacity(tables.len() + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for t in &tables {
-            total += t.len();
-            offsets.push(total);
-        }
+    /// cached priorities, so a group costs one small `Vec` per job, not a
+    /// fused priority table.
+    pub fn new_shared_offsets(tables: Vec<Arc<[u64]>>, workers: usize) -> Self {
+        let counts: Vec<usize> = tables.iter().map(|t| t.len()).collect();
         WorkStealingPriority {
-            inner: WorkStealing::new(total, workers),
-            ranking: PriorityRanking::Offsets { tables, offsets },
+            inner: WorkStealing::new(counts.iter().sum(), workers),
+            map: ItemMap::from_counts(&counts),
+            tables,
         }
+    }
+
+    #[inline]
+    fn rank(&self, t: usize) -> u64 {
+        let (copy, local) = self.map.locate(t);
+        self.tables[copy][local]
     }
 
     /// Sorts a batch by ascending priority, in place, without allocating
@@ -380,7 +273,7 @@ impl WorkStealingPriority {
     /// maximum out-degree — `O(q)` for tiled QR).
     #[inline]
     fn sort_ascending(&self, batch: &mut [usize]) {
-        batch.sort_unstable_by_key(|&t| self.ranking.rank(t));
+        batch.sort_unstable_by_key(|&t| self.rank(t));
     }
 }
 
@@ -410,100 +303,6 @@ impl Scheduler for WorkStealingPriority {
     fn pop(&self, w: usize) -> Option<usize> {
         self.inner.pop_from(w)
     }
-}
-
-/// Executes the DAG on `num_threads` worker threads (workspace-free
-/// compatibility wrapper over [`execute_parallel_with`]).
-pub fn execute_parallel<F>(dag: &TaskDag, num_threads: usize, run: F)
-where
-    F: Fn(TaskKind) + Sync,
-{
-    execute_parallel_with(dag, num_threads, || (), |task, _ws: &mut ()| run(task));
-}
-
-/// Executes the DAG on `num_threads` worker threads with one workspace per
-/// worker, using the default scheduler ([`SchedulerKind::WorkStealing`]).
-pub fn execute_parallel_with<W, M, F>(dag: &TaskDag, num_threads: usize, make_ws: M, run: F)
-where
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(TaskKind, &mut W) + Sync,
-{
-    execute_parallel_with_scheduler(dag, num_threads, SchedulerKind::default(), make_ws, run)
-}
-
-/// Executes the DAG on `num_threads` worker threads with one workspace per
-/// worker and an explicit scheduling policy.
-///
-/// Every worker builds its own workspace with `make_ws` when it starts, then
-/// repeatedly pops a ready task from the scheduler, runs it against its
-/// workspace, and decrements the dependency counters of the task's
-/// successors, handing the scheduler every task whose counter reaches zero.
-/// The closure must be safe to call concurrently for tasks that are not
-/// ordered by the DAG — the state module guarantees this by protecting each
-/// tile with its own lock.
-///
-/// After the setup phase (scheduler buffers and counters sized to the DAG,
-/// workspaces built per worker) the loop performs no heap allocations, for
-/// every [`SchedulerKind`].
-pub fn execute_parallel_with_scheduler<W, M, F>(
-    dag: &TaskDag,
-    num_threads: usize,
-    scheduler: SchedulerKind,
-    make_ws: M,
-    run: F,
-) where
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(TaskKind, &mut W) + Sync,
-{
-    let n = dag.tasks.len();
-    if n == 0 {
-        return;
-    }
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 {
-        let mut ws = make_ws();
-        for task in &dag.tasks {
-            run(task.kind, &mut ws);
-        }
-        return;
-    }
-    // One successor CSR serves both the dependency release loop and (for
-    // the priority scheduler) the bottom-level computation.
-    let succ = dag.successors_csr();
-    match scheduler {
-        SchedulerKind::LockedFifo => {
-            run_pool(dag, &succ, num_threads, &LockedFifo::new(n), make_ws, run)
-        }
-        SchedulerKind::WorkStealing => run_pool(
-            dag,
-            &succ,
-            num_threads,
-            &WorkStealing::new(n, num_threads),
-            make_ws,
-            run,
-        ),
-        SchedulerKind::WorkStealingPriority => {
-            let priorities = dag.priorities_with(&succ);
-            run_pool(
-                dag,
-                &succ,
-                num_threads,
-                &WorkStealingPriority::new(priorities, num_threads),
-                make_ws,
-                run,
-            )
-        }
-    }
-}
-
-/// Per-task dependency counters of a DAG, freshly initialized for one run.
-pub(crate) fn dependency_counters(dag: &TaskDag) -> Vec<AtomicUsize> {
-    dag.tasks
-        .iter()
-        .map(|t| AtomicUsize::new(t.deps.len()))
-        .collect()
 }
 
 /// Indices of the initially-ready tasks (no dependencies), in topological
@@ -650,11 +449,11 @@ impl GroupSucc<'_> {
 }
 
 /// Receives contained task panics from [`drive_worker`] and answers which
-/// batch copies have already failed (so their remaining tasks are skipped —
+/// copies have already failed (so their remaining tasks are skipped —
 /// counted as released, never executed).
 ///
-/// Implemented by the context's per-batch item tracker; the executor itself
-/// stays ignorant of [`QrError`](crate::context::QrError).
+/// Implemented by the context's fused job; the executor itself stays
+/// ignorant of [`QrError`](crate::context::QrError).
 pub(crate) trait FaultSink: Sync {
     /// True if `copy` has already recorded a fault; its tasks are skipped.
     fn copy_failed(&self, copy: usize) -> bool;
@@ -663,27 +462,20 @@ pub(crate) trait FaultSink: Sync {
     /// per panicking task; the first recorded fault of a copy wins.
     fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send));
 
-    /// Counts one task of `copy` as retired (executed *or* skipped); a copy
-    /// whose retired count reaches the DAG length without a recorded fault
-    /// completed successfully.
+    /// Counts one task of `copy` as retired (executed *or* skipped).
     ///
-    /// This is also the generalized per-item completion hook: the retire of
-    /// a copy's *last* task is detectable inside this call (the tracker's
-    /// retire count equals the DAG length), and it fires on the worker
-    /// thread that performed it. The batch path only tallies here; the
-    /// streaming path (`StreamJob` in `context.rs`, behind the service
-    /// layer) dismantles the finished copy and resolves its ticket from
-    /// this hook, while sibling copies are still running.
+    /// This is also the per-item completion hook: the retire of a copy's
+    /// *last* task is detectable inside this call, and it fires on the
+    /// worker thread that performed it, so the fused job dismantles the
+    /// finished copy and hands it to its sink while sibling copies are still
+    /// running.
     fn task_retired(&self, copy: usize);
 }
 
 /// Everything one [`drive_worker`] call shares with its sibling workers:
-/// the fused-DAG geometry, the per-run counters, and the optional
-/// robustness hooks (cancellation, heartbeat, panic containment).
+/// the fused-DAG geometry, the per-run counters and the robustness hooks
+/// (cancellation, panic containment).
 pub(crate) struct DriveCtl<'a> {
-    /// Total task count of the (fused) run; the loop exits when `completed`
-    /// reaches it.
-    pub(crate) num_tasks: usize,
     /// Global-id geometry of the run: `map.locate(g)` resolves every task id
     /// to its `(copy, local)` pair. Uniform for single runs and same-plan
     /// batches (the historical `g → (g / n, g % n)` arithmetic);
@@ -691,75 +483,55 @@ pub(crate) struct DriveCtl<'a> {
     pub(crate) map: &'a ItemMap,
     /// Per-copy successor adjacency, indexed by the local id from `map`.
     pub(crate) succ: GroupSucc<'a>,
-    /// Per-task dependency counters of the whole fused run.
+    /// Per-task dependency counters of the whole fused run; the loop exits
+    /// once `completed` reaches their count.
     pub(crate) remaining: &'a [AtomicUsize],
     /// Tasks completed so far across all workers.
     pub(crate) completed: &'a AtomicUsize,
-    /// Legacy abort flag: raised when a worker panics in abort mode
-    /// (`faults: None`); sibling workers exit instead of spinning.
-    pub(crate) aborted: &'a AtomicBool,
     /// Largest successor batch one completion can enable.
     pub(crate) max_out_degree: usize,
-    /// Checked once per loop iteration; a triggered token makes workers
-    /// abandon the remaining tasks and return.
-    pub(crate) cancel: Option<&'a CancelToken>,
-    /// Panic policy: `None` — a task panic raises `aborted` and unwinds out
-    /// (the scoped executor's contract, re-raised by the caller); `Some` —
-    /// the panic is caught, reported to the sink, and only that task's copy
-    /// is poisoned while siblings keep running.
-    pub(crate) faults: Option<&'a dyn FaultSink>,
+    /// The job's token, checked once per loop iteration; a triggered token
+    /// makes workers abandon the remaining tasks and return.
+    pub(crate) cancel: &'a CancelToken,
+    /// Set only when the run is driven inline on the caller thread, where no
+    /// submitter-side wait loop exists: the worker itself then forwards user
+    /// cancellation and the deadline into `cancel` between tasks.
+    pub(crate) inline: Option<&'a RunCtl>,
+    /// Receives contained panics and per-copy retires.
+    pub(crate) faults: &'a dyn FaultSink,
 }
 
 /// One worker's share of a DAG run: pop ready tasks from the scheduler, run
 /// them, release successors, hand newly-enabled batches back to the
-/// scheduler, and back off when idle until every one of `ctl.num_tasks`
-/// tasks completed (or a sibling aborted, or the cancel token fired).
+/// scheduler, and back off when idle until every task completed (or the
+/// cancel token fired).
 ///
 /// The loop is phrased over **raw task ids** so the same code serves every
-/// caller: the scoped executor ([`execute_parallel_with_scheduler`]), the
-/// single-factorization pool jobs of [`QrContext`](crate::context::QrContext),
-/// the *fused batch* jobs of
-/// [`QrContext::factorize_batch`](crate::context::QrContext::factorize_batch),
-/// and the service layer's heterogeneous fused groups. `ctl.map` resolves a
-/// global id to `(copy, local)` — uniform stride division for same-plan
-/// groups (bit-for-bit the historical `g → (g / n, g % n)` mapping),
-/// prefix-sum offsets for mixed-plan groups — and `ctl.succ` hands back the
-/// copy's own successor CSR, so no per-call fused adjacency is ever
-/// materialized. Released successors stay within the task's copy by
-/// offsetting local successor ids with the copy's base. For a single DAG the
-/// id arithmetic is the identity. Same-plan paths are bitwise equivalent by
-/// construction because they run exactly this code over the same per-tile
-/// kernel ordering.
+/// run: `ctl.map` resolves a global id to `(copy, local)` — uniform stride
+/// division for same-plan groups, prefix-sum offsets for mixed-plan groups —
+/// and `ctl.succ` hands back the copy's own successor CSR, so no fused
+/// adjacency is ever materialized. Released successors stay within the
+/// task's copy by offsetting local successor ids with the copy's base. `run`
+/// receives the task's `(copy, local)` pair.
 ///
-/// Panic handling depends on `ctl.faults` — see [`DriveCtl::faults`]. In
-/// containment mode a failed copy's remaining tasks still *retire* (their
-/// successor counters are released and `completed` advances) so the fused
-/// run drains normally; they are never executed.
+/// Every task runs under `catch_unwind`: a panic is reported to
+/// `ctl.faults` and poisons only that task's copy. A failed copy's remaining
+/// tasks still *retire* (their successor counters are released and
+/// `completed` advances) so the fused run drains normally; they are never
+/// executed.
 ///
-/// `heartbeat` is this worker's progress counter (pool workers pass theirs;
-/// the scoped executor passes `None`): it is bumped once per **retired
-/// task**, never while idling, so a run whose workers all spin without
-/// retiring anything — the shape of a lost-task deadlock — is visible to the
-/// pool watchdog as a flat heartbeat sum.
+/// `heartbeat` is this worker's progress counter: it is bumped once per
+/// **retired task**, never while idling, so a run whose workers all spin
+/// without retiring anything — the shape of a lost-task deadlock — is
+/// visible to the pool watchdog as a flat heartbeat sum.
 pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     ctl: &DriveCtl<'_>,
     sched: &S,
     w: usize,
-    heartbeat: Option<&AtomicUsize>,
-    run: &mut dyn FnMut(usize),
+    heartbeat: &AtomicUsize,
+    run: &mut dyn FnMut(usize, usize),
 ) {
-    debug_assert_eq!(ctl.map.total(), ctl.num_tasks);
-    // Arms while a task runs in abort mode; if the task panics the unwind
-    // runs this Drop, flagging every other worker to exit so the caller can
-    // join them and propagate the panic instead of deadlocking on
-    // `completed < n`.
-    struct AbortOnPanic<'a>(&'a AtomicBool);
-    impl Drop for AbortOnPanic<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-
+    let num_tasks = ctl.remaining.len();
     // Scratch for the largest possible batch of newly-enabled successors —
     // allocated once per worker per run, never on the per-task path.
     let mut enabled: Vec<usize> = Vec::with_capacity(ctl.max_out_degree);
@@ -768,42 +540,26 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     // skipping the queue round-trip.
     let mut next: Option<usize> = None;
     loop {
-        if ctl.aborted.load(Ordering::Acquire) {
+        if ctl.inline.is_some_and(RunCtl::poll) || ctl.cancel.is_cancelled() {
             break;
-        }
-        if let Some(token) = ctl.cancel {
-            if token.is_cancelled() {
-                break;
-            }
         }
         match next.take().or_else(|| sched.pop(w)) {
             Some(idx) => {
                 backoff.reset();
                 let (copy, local) = ctl.map.locate(idx);
-                match ctl.faults {
-                    None => {
-                        let guard = AbortOnPanic(ctl.aborted);
-                        run(idx);
-                        std::mem::forget(guard);
-                    }
-                    Some(sink) => {
-                        // A failed copy's tasks are skipped, not executed;
-                        // they still retire below so the run drains.
-                        if !sink.copy_failed(copy) {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(idx)));
-                            if let Err(payload) = result {
-                                sink.record_panic(copy, local, &*payload);
-                            }
-                        }
-                        sink.task_retired(copy);
+                // A failed copy's tasks are skipped, not executed; they
+                // still retire below so the run drains.
+                if !ctl.faults.copy_failed(copy) {
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(copy, local)));
+                    if let Err(payload) = result {
+                        ctl.faults.record_panic(copy, local, &*payload);
                     }
                 }
-                if let Some(hb) = heartbeat {
-                    // Single-writer counter: a plain load+store is enough
-                    // and avoids a locked RMW on the per-task path.
-                    hb.store(hb.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                }
+                ctl.faults.task_retired(copy);
+                // Single-writer counter: a plain load+store is enough and
+                // avoids a locked RMW on the per-task path.
+                heartbeat.store(heartbeat.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
                 ctl.completed.fetch_add(1, Ordering::Release);
                 // Successors stay within the task's own DAG copy: look up
                 // the copy's CSR by the local id, offset the released ids
@@ -821,7 +577,7 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                 }
             }
             None => {
-                if ctl.completed.load(Ordering::Acquire) >= ctl.num_tasks {
+                if ctl.completed.load(Ordering::Acquire) >= num_tasks {
                     break;
                 }
                 backoff.snooze();
@@ -830,62 +586,11 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     }
 }
 
-/// The worker pool, generic (monomorphized) over the scheduler so the hot
-/// loop pays no virtual dispatch.
-fn run_pool<S, W, M, F>(
-    dag: &TaskDag,
-    succ: &SuccessorsCsr,
-    num_threads: usize,
-    sched: &S,
-    make_ws: M,
-    run: F,
-) where
-    S: Scheduler,
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(TaskKind, &mut W) + Sync,
-{
-    let n = dag.tasks.len();
-    let remaining = dependency_counters(dag);
-    let max_out_degree = succ.max_out_degree();
-    let mut roots = initial_roots(dag);
-    sched.seed(&mut roots);
-    let completed = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-
-    let map = ItemMap::uniform(n, 1);
-    let ctl = DriveCtl {
-        num_tasks: n,
-        map: &map,
-        succ: GroupSucc::Shared(succ),
-        remaining: &remaining,
-        completed: &completed,
-        aborted: &aborted,
-        max_out_degree,
-        cancel: None,
-        faults: None,
-    };
-    std::thread::scope(|scope| {
-        for w in 0..num_threads {
-            let ctl = &ctl;
-            let sched = &sched;
-            let make_ws = &make_ws;
-            let run = &run;
-            scope.spawn(move || {
-                let mut ws = make_ws();
-                drive_worker(ctl, *sched, w, None, &mut |idx| {
-                    run(dag.tasks[idx].kind, &mut ws)
-                });
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sync::Mutex;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use tileqr_core::algorithms::Algorithm;
     use tileqr_core::KernelFamily;
 
@@ -893,11 +598,113 @@ mod tests {
         TaskDag::build(&Algorithm::Greedy.elimination_list(p, q), KernelFamily::TT)
     }
 
+    /// A fault sink for runs whose tasks never panic.
+    struct NoFaults;
+
+    impl FaultSink for NoFaults {
+        fn copy_failed(&self, _copy: usize) -> bool {
+            false
+        }
+        fn record_panic(&self, _copy: usize, _local: usize, _payload: &(dyn std::any::Any + Send)) {
+            panic!("no task of this run may panic");
+        }
+        fn task_retired(&self, _copy: usize) {}
+    }
+
+    /// The scheduler of `kind` for a fused group of `dags`.
+    fn scheduler_for(kind: SchedulerKind, dags: &[&TaskDag], workers: usize) -> Box<dyn Scheduler> {
+        match kind {
+            SchedulerKind::WorkStealing => Box::new(WorkStealing::new(
+                dags.iter().map(|d| d.len()).sum(),
+                workers,
+            )),
+            SchedulerKind::WorkStealingPriority => {
+                Box::new(WorkStealingPriority::new_shared_offsets(
+                    dags.iter()
+                        .map(|d| d.priorities_with(&d.successors_csr()).into())
+                        .collect(),
+                    workers,
+                ))
+            }
+        }
+    }
+
+    /// Fuses `dags` into one run under `sched`, drives it with `workers`
+    /// [`drive_worker`] threads, and returns the `(copy, local)` pairs in
+    /// execution order.
+    fn run_fused(dags: &[&TaskDag], sched: &dyn Scheduler, workers: usize) -> Vec<(usize, usize)> {
+        let csrs: Vec<SuccessorsCsr> = dags.iter().map(|d| d.successors_csr()).collect();
+        let per_copy: Vec<&SuccessorsCsr> = csrs.iter().collect();
+        let counts: Vec<usize> = dags.iter().map(|d| d.len()).collect();
+        let map = ItemMap::from_counts(&counts);
+        let remaining: Vec<AtomicUsize> = dags
+            .iter()
+            .flat_map(|d| d.tasks.iter().map(|t| AtomicUsize::new(t.deps.len())))
+            .collect();
+        let mut roots: Vec<usize> = Vec::new();
+        for (c, d) in dags.iter().enumerate() {
+            let base = map.base(c);
+            roots.extend(
+                d.tasks
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.deps.is_empty())
+                    .map(|(i, _)| base + i),
+            );
+        }
+        sched.seed(&mut roots);
+        let completed = AtomicUsize::new(0);
+        let cancel = CancelToken::new();
+        let ctl = DriveCtl {
+            map: &map,
+            succ: GroupSucc::PerCopy(&per_copy),
+            remaining: &remaining,
+            completed: &completed,
+            max_out_degree: csrs.iter().map(|c| c.max_out_degree()).max().unwrap_or(0),
+            cancel: &cancel,
+            inline: None,
+            faults: &NoFaults,
+        };
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (ctl, order) = (&ctl, &order);
+                scope.spawn(move || {
+                    let heartbeat = AtomicUsize::new(0);
+                    drive_worker(ctl, sched, w, &heartbeat, &mut |copy, local| {
+                        order.lock().push((copy, local));
+                    });
+                });
+            }
+        });
+        order.into_inner()
+    }
+
+    /// Asserts every task of every copy ran exactly once and after all of
+    /// its dependencies.
+    fn assert_once_in_dependency_order(dags: &[&TaskDag], order: &[(usize, usize)], label: &str) {
+        let position: HashMap<(usize, usize), usize> =
+            order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        assert_eq!(position.len(), order.len(), "[{label}] a task ran twice");
+        let total: usize = dags.iter().map(|d| d.len()).sum();
+        assert_eq!(order.len(), total, "[{label}] tasks missing");
+        for (c, d) in dags.iter().enumerate() {
+            for (i, t) in d.tasks.iter().enumerate() {
+                for &dep in &t.deps {
+                    assert!(
+                        position[&(c, dep)] < position[&(c, i)],
+                        "[{label}] copy {c}: dependency {dep} ran after dependent {i}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn sequential_visits_every_task_once() {
         let dag = sample_dag(6, 3);
         let mut seen = Vec::new();
-        execute_sequential(&dag, |k| seen.push(k));
+        execute_sequential_with(&dag, &mut (), |k, _| seen.push(k));
         assert_eq!(seen.len(), dag.len());
         let unique: HashSet<_> = seen.iter().collect();
         assert_eq!(unique.len(), dag.len());
@@ -907,62 +714,36 @@ mod tests {
     fn parallel_visits_every_task_once_with_every_scheduler() {
         let dag = sample_dag(8, 4);
         for kind in SchedulerKind::ALL {
-            let seen = Mutex::new(HashSet::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                4,
-                kind,
-                || (),
-                |k, _ws: &mut ()| {
-                    assert!(seen.lock().insert(k), "task executed twice: {k:?}");
-                },
-            );
-            assert_eq!(seen.lock().len(), dag.len(), "scheduler {}", kind.name());
+            let sched = scheduler_for(kind, &[&dag], 4);
+            let order = run_fused(&[&dag], &*sched, 4);
+            assert_once_in_dependency_order(&[&dag], &order, kind.name());
         }
     }
 
     #[test]
     fn parallel_respects_dependencies_with_every_scheduler() {
-        // Record completion order and verify that every dependency finished
-        // before its dependent started. We log positions under a lock.
         let dag = sample_dag(7, 3);
         for kind in SchedulerKind::ALL {
-            let order = Mutex::new(Vec::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                3,
-                kind,
-                || (),
-                |k, _ws: &mut ()| {
-                    order.lock().push(k);
-                },
-            );
-            let order = order.into_inner();
-            let position: std::collections::HashMap<_, _> =
-                order.iter().enumerate().map(|(i, k)| (*k, i)).collect();
-            for task in &dag.tasks {
-                let me = position[&task.kind];
-                for &d in &task.deps {
-                    let dep = position[&dag.tasks[d].kind];
-                    assert!(
-                        dep < me,
-                        "[{}] dependency ran after dependent: {:?} -> {:?}",
-                        kind.name(),
-                        dag.tasks[d].kind,
-                        task.kind
-                    );
-                }
-            }
+            let sched = scheduler_for(kind, &[&dag], 3);
+            let order = run_fused(&[&dag], &*sched, 3);
+            assert_once_in_dependency_order(&[&dag], &order, kind.name());
+        }
+    }
+
+    #[test]
+    fn single_worker_runs_every_task_once_with_every_scheduler() {
+        // The inline `threads == 1` engine is one `drive_worker` call: it
+        // must drain the whole DAG alone, in a dependency-respecting order.
+        let dag = sample_dag(5, 2);
+        for kind in SchedulerKind::ALL {
+            let sched = scheduler_for(kind, &[&dag], 1);
+            let order = run_fused(&[&dag], &*sched, 1);
+            assert_once_in_dependency_order(&[&dag], &order, kind.name());
         }
     }
 
     #[test]
     fn empty_dag_is_a_noop() {
-        let dag = TaskDag::build(
-            &Algorithm::FlatTree.elimination_list(1, 1),
-            KernelFamily::TT,
-        );
-        // a 1x1 grid has a single GEQRT; build a truly empty DAG by filtering
         let empty = TaskDag {
             p: 0,
             q: 0,
@@ -970,77 +751,10 @@ mod tests {
             tasks: Vec::new(),
         };
         let mut count = 0;
-        execute_sequential(&empty, |_| count += 1);
-        execute_parallel(&empty, 4, |_| panic!("should not run"));
+        execute_sequential_with(&empty, &mut (), |_, _| count += 1);
         assert_eq!(count, 0);
-        assert_eq!(dag.len(), 1);
-    }
-
-    #[test]
-    fn single_thread_parallel_falls_back_to_sequential_order() {
-        let dag = sample_dag(5, 2);
-        for kind in SchedulerKind::ALL {
-            let seen = Mutex::new(Vec::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                1,
-                kind,
-                || (),
-                |k, _ws: &mut ()| seen.lock().push(k),
-            );
-            let seen = seen.into_inner();
-            let sequential: Vec<_> = dag.tasks.iter().map(|t| t.kind).collect();
-            assert_eq!(seen, sequential);
-        }
-    }
-
-    #[test]
-    fn each_worker_gets_its_own_workspace() {
-        // Workspaces are identified by a creation counter; every task records
-        // which workspace it ran with, and the number of distinct workspaces
-        // must not exceed the worker count.
-        let dag = sample_dag(8, 4);
-        let counter = AtomicUsize::new(0);
-        let used = Mutex::new(HashSet::new());
-        let tasks = Mutex::new(0usize);
-        execute_parallel_with(
-            &dag,
-            4,
-            || counter.fetch_add(1, Ordering::SeqCst),
-            |_task, ws_id| {
-                used.lock().insert(*ws_id);
-                *tasks.lock() += 1;
-            },
-        );
-        assert_eq!(*tasks.lock(), dag.len());
-        let created = counter.load(Ordering::SeqCst);
-        assert_eq!(created, 4, "one workspace per worker");
-        assert!(!used.lock().is_empty() && used.lock().len() <= 4);
-    }
-
-    #[test]
-    fn task_panic_propagates_instead_of_hanging() {
-        // A panicking task must flag the other workers to exit so the thread
-        // scope can join and re-raise the panic (previously the pool spun
-        // forever on `completed < n`).
-        let dag = sample_dag(8, 4);
-        let poison = dag.tasks[dag.len() / 2].kind;
-        for kind in SchedulerKind::ALL {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_parallel_with_scheduler(
-                    &dag,
-                    4,
-                    kind,
-                    || (),
-                    |k, _ws: &mut ()| {
-                        if k == poison {
-                            panic!("injected task failure");
-                        }
-                    },
-                );
-            }));
-            assert!(result.is_err(), "panic was swallowed by {}", kind.name());
-        }
+        let sched = WorkStealing::new(0, 2);
+        assert!(run_fused(&[&empty], &sched, 2).is_empty());
     }
 
     #[test]
@@ -1060,7 +774,7 @@ mod tests {
     fn scheduler_kind_defaults_to_work_stealing() {
         assert_eq!(SchedulerKind::default(), SchedulerKind::WorkStealing);
         let names: HashSet<_> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), 3);
+        assert_eq!(names.len(), SchedulerKind::ALL.len());
     }
 
     #[test]
@@ -1156,85 +870,37 @@ mod tests {
     }
 
     #[test]
+    fn priority_offsets_uniform_map_ranks_by_g_mod_n() {
+        // Same-plan groups hand the scheduler one table per copy; equal
+        // lengths collapse to the uniform map, so task `g` is ranked by
+        // `table[g % n]` — the historical cyclic ranking.
+        let table: Arc<[u64]> = vec![4u64, 9, 2].into();
+        let sched = WorkStealingPriority::new_shared_offsets(vec![Arc::clone(&table); 3], 1);
+        assert_eq!(
+            sched.map.stride, 3,
+            "equal tables must take the uniform map"
+        );
+        for g in 0..9 {
+            assert_eq!(sched.rank(g), table[g % 3]);
+        }
+    }
+
+    #[test]
     fn fused_heterogeneous_copies_run_once_and_respect_deps() {
         // Two *different* DAGs fused under one scheduler through the offset
         // map: every task of each copy runs exactly once, and dependencies
-        // hold within each copy.
+        // hold within each copy, under every scheduler.
         let dag_a = sample_dag(6, 3);
         let dag_b = TaskDag::build(
             &Algorithm::FlatTree.elimination_list(4, 2),
             KernelFamily::TS,
         );
         assert_ne!(dag_a.len(), dag_b.len(), "copies must be heterogeneous");
-        let succ_a = dag_a.successors_csr();
-        let succ_b = dag_b.successors_csr();
-        let map = ItemMap::from_counts(&[dag_a.len(), dag_b.len()]);
-        assert_eq!(map.total(), dag_a.len() + dag_b.len());
-        let per_copy = [&succ_a, &succ_b];
         let dags = [&dag_a, &dag_b];
-
-        let remaining: Vec<AtomicUsize> = dags
-            .iter()
-            .flat_map(|d| d.tasks.iter().map(|t| AtomicUsize::new(t.deps.len())))
-            .collect();
-        let mut roots: Vec<usize> = Vec::new();
-        for (c, d) in dags.iter().enumerate() {
-            let base = map.base(c);
-            roots.extend(
-                d.tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.deps.is_empty())
-                    .map(|(i, _)| base + i),
-            );
-        }
-        let tables: Vec<std::sync::Arc<[u64]>> = vec![
-            dag_a.priorities_with(&succ_a).into(),
-            dag_b.priorities_with(&succ_b).into(),
-        ];
-        let sched = WorkStealingPriority::new_shared_offsets(tables, 3);
-        sched.seed(&mut roots);
-        let completed = AtomicUsize::new(0);
-        let aborted = AtomicBool::new(false);
-        let ctl = DriveCtl {
-            num_tasks: map.total(),
-            map: &map,
-            succ: GroupSucc::PerCopy(&per_copy),
-            remaining: &remaining,
-            completed: &completed,
-            aborted: &aborted,
-            max_out_degree: succ_a.max_out_degree().max(succ_b.max_out_degree()),
-            cancel: None,
-            faults: None,
-        };
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for w in 0..3 {
-                let ctl = &ctl;
-                let sched = &sched;
-                let order = &order;
-                scope.spawn(move || {
-                    drive_worker(ctl, sched, w, None, &mut |g| {
-                        order.lock().push(g);
-                    });
-                });
-            }
-        });
-        let order = order.into_inner();
-        assert_eq!(order.len(), map.total());
-        let position: std::collections::HashMap<usize, usize> =
-            order.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        assert_eq!(position.len(), map.total(), "a task ran twice");
-        for (c, d) in dags.iter().enumerate() {
-            let base = map.base(c);
-            for (i, t) in d.tasks.iter().enumerate() {
-                for &dep in &t.deps {
-                    assert!(
-                        position[&(base + dep)] < position[&(base + i)],
-                        "copy {c}: dependency {dep} ran after dependent {i}"
-                    );
-                }
-            }
+        for kind in SchedulerKind::ALL {
+            let sched = scheduler_for(kind, &dags, 3);
+            let order = run_fused(&dags, &*sched, 3);
+            assert_once_in_dependency_order(&dags, &order, kind.name());
         }
     }
 
@@ -1251,15 +917,6 @@ mod tests {
         assert_eq!(sched.pop(0), Some(2));
         assert_eq!(sched.pop(0), Some(7));
         assert_eq!(sched.pop(0), Some(9));
-        assert_eq!(sched.pop(0), None);
-    }
-
-    #[test]
-    fn locked_fifo_never_hands_back_a_continuation() {
-        let sched = LockedFifo::new(8);
-        assert_eq!(sched.push_ready(0, &mut [4usize, 5]), None);
-        assert_eq!(sched.pop(0), Some(4));
-        assert_eq!(sched.pop(1), Some(5));
         assert_eq!(sched.pop(0), None);
     }
 }

@@ -3,18 +3,19 @@
 //! This crate plays the role of PLASMA's dynamic scheduler in the paper's
 //! experiments: it takes the weighted task DAG produced by `tileqr-core`
 //! (for any elimination tree and either kernel family) and executes it with
-//! the real floating-point kernels of `tileqr-kernels`, either sequentially
-//! or on a pool of worker threads with dependency-driven scheduling.
+//! the real floating-point kernels of `tileqr-kernels` through one
+//! dependency-driven engine, on a pool of worker threads or inline on the
+//! calling thread.
 //!
-//! * [`executor`] — a generic dependency-counting DAG executor (sequential
-//!   and multi-threaded variants) with a pluggable ready-task
-//!   [`Scheduler`](executor::Scheduler): a legacy locked FIFO, per-worker
+//! * [`executor`] — the engine's dependency-counting worker loop with a
+//!   pluggable ready-task [`Scheduler`](executor::Scheduler): per-worker
 //!   Chase–Lev work-stealing deques, and priority work stealing driven by
 //!   weighted critical-path-to-exit lengths
-//!   ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)).
-//!   Every worker thread gets its own preallocated kernel
-//!   [`Workspace`](tileqr_kernels::Workspace), so the per-task hot loop
-//!   never touches the allocator under any scheduler.
+//!   ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)), plus
+//!   the plain topological walk tests compare against. Every worker gets its
+//!   own preallocated kernel [`Workspace`](tileqr_kernels::Workspace), so
+//!   the per-task hot loop never touches the allocator under any
+//!   scheduler.
 //! * [`sync`] — std-only synchronisation primitives (mutex, three-tier
 //!   spin/yield/park backoff, exact-capacity ready queue, Chase–Lev
 //!   work-stealing deque) used by the executor, the pool and the state.
@@ -111,11 +112,9 @@
 //! and message. When several workers panic at once, the surplus payloads
 //! are *counted* and the count is surfaced instead of being dropped
 //! silently. The legacy free functions ([`qr_factorize`] & co.) keep their
-//! documented panicking contract — they re-raise the contained error — and
-//! the scoped executor ([`executor`]) keeps its abort-and-propagate
-//! behavior. A failed item's output buffers hold partial garbage and must
-//! be refilled; input-rejected items (shape, finiteness) are bitwise
-//! untouched.
+//! documented panicking contract — they re-raise the contained error. A
+//! failed item's output buffers hold partial garbage and must be refilled;
+//! input-rejected items (shape, finiteness) are bitwise untouched.
 //!
 //! **Cancellation, deadlines, watchdog.** [`QrContext::cancel_handle`]
 //! returns a sticky, cloneable [`CancelToken`] checked between tasks;
@@ -124,9 +123,11 @@
 //! heartbeat counters from the submitting thread and cancels a job whose
 //! workers stop retiring tasks past the bound ([`QrError::Stalled`]) instead
 //! of hanging the caller. Batches report partial results: items that
-//! finished before the trigger still return `Ok`. All clock reads happen on
-//! the submitting thread — the per-task cost of the whole robustness layer
-//! is a handful of relaxed atomic operations.
+//! finished before the trigger still return `Ok`. On the pool, all clock
+//! reads happen on the submitting thread — the per-task cost of the whole
+//! robustness layer is a handful of relaxed atomic operations; a
+//! `threads == 1` context, which runs the job inline, checks the deadline
+//! between tasks and has no watchdog.
 //!
 //! **Deterministic fault injection** (`--features fault-injection`,
 //! default-off, zero-cost when disabled). The `fault` module installs a
@@ -152,7 +153,7 @@
 //!   slots hand over via per-slot sequence numbers, so an index is consumed
 //!   exactly once and the queue never reports empty while a completed push
 //!   is unconsumed.
-//! * **Dependency counting** (executor/pool) — a task becomes ready exactly
+//! * **Dependency counting** (executor) — a task becomes ready exactly
 //!   when its last dependency retires; the release-store/acquire-load pair
 //!   on the remaining-dependency counter publishes the predecessor's tile
 //!   writes to whichever worker picks the task up.

@@ -1,9 +1,8 @@
 //! Persistent, parkable worker pool behind [`QrContext`](crate::context::QrContext).
 //!
-//! The scoped executor ([`crate::executor`]) spawns and joins a fresh set of
-//! worker threads on every call — correct, but a stream of moderate-size
-//! factorizations then pays thread startup and teardown per matrix. This
-//! module provides the long-lived alternative the context API is built on:
+//! A stream of moderate-size factorizations must not pay thread startup and
+//! teardown per matrix, so every multi-threaded context runs its jobs on one
+//! long-lived pool:
 //!
 //! * `threads` workers are spawned **once** when the pool is built;
 //! * between jobs they idle through the same three-tier
@@ -57,8 +56,9 @@ use crate::sync::{Backoff, CancelCause, CancelToken, Mutex};
 /// index in `0..threads` and the worker's own heartbeat counter (bumped by
 /// the executor loop once per retired task so the submitter-side watchdog
 /// can observe progress). Implementations coordinate internally — the
-/// context's `BatchJob` (which also serves single factorizations as the
-/// `k = 1` case) drives the shared fused-DAG scheduler from every worker.
+/// context's fused streaming job (which serves single factorizations,
+/// batches and service groups alike) drives its shared scheduler from every
+/// worker.
 pub(crate) trait Job: Send + Sync {
     /// Runs worker `w`'s share of the job.
     fn run(&self, w: usize, heartbeat: &AtomicUsize);
@@ -73,7 +73,9 @@ struct Heartbeat(AtomicUsize);
 /// Submitter-side controls for one [`WorkerPool::run_controlled`] call: the
 /// job's cancel token plus the conditions the wait loop polls while workers
 /// run. All clock reads happen here, on the submitting thread — the workers
-/// only ever pay one atomic load per task.
+/// only ever pay one atomic load per task. A job driven inline on the
+/// caller thread (a one-thread context) polls the same controls between
+/// tasks instead.
 pub(crate) struct RunCtl {
     /// The per-job token the workers observe; deadline/stall/user-cancel all
     /// funnel into it.
@@ -89,6 +91,27 @@ pub(crate) struct RunCtl {
     /// longer than this, `job_cancel` triggers with
     /// [`CancelCause::Stalled`].
     pub(crate) stall_bound: Option<Duration>,
+}
+
+impl RunCtl {
+    /// Forwards user cancellation and an expired deadline into
+    /// `job_cancel` (first cause wins); true once the job token has fired.
+    /// The pool's wait loop calls it between snoozes; a job driven inline
+    /// on the caller thread calls it between tasks.
+    pub(crate) fn poll(&self) -> bool {
+        if self.job_cancel.is_cancelled() {
+            return true;
+        }
+        if self.user_cancel.is_cancelled() {
+            self.job_cancel.trigger(CancelCause::Cancelled);
+            return true;
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.job_cancel.trigger(CancelCause::DeadlineExceeded);
+            return true;
+        }
+        false
+    }
 }
 
 /// State shared between the submitter and the workers.
@@ -251,24 +274,11 @@ impl WorkerPool {
     /// not per task; once the job token is triggered there is nothing left
     /// to poll.
     fn poll_control(&self, ctl: &RunCtl, watch: &mut WatchState) {
-        if ctl.job_cancel.is_cancelled() {
+        if ctl.poll() {
             return;
-        }
-        if ctl.user_cancel.is_cancelled() {
-            ctl.job_cancel.trigger(CancelCause::Cancelled);
-            return;
-        }
-        if ctl.deadline.is_none() && ctl.stall_bound.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        if let Some(d) = ctl.deadline {
-            if now >= d {
-                ctl.job_cancel.trigger(CancelCause::DeadlineExceeded);
-                return;
-            }
         }
         if let Some(bound) = ctl.stall_bound {
+            let now = Instant::now();
             // The digest reads every worker's heartbeat line *while the
             // workers are writing them* — probing it on every snooze drags
             // those lines into shared state and measurably slows the workers

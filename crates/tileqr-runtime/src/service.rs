@@ -87,7 +87,7 @@ use std::time::{Duration, Instant};
 use tileqr_matrix::rng::Rng;
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::context::{ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
+use crate::context::{ItemDone, ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrFactorization;
 use crate::sync::shim::{AtomicU64, AtomicUsize};
 use crate::sync::{Condvar, LazyCondvar, Mutex, OnceSlot};
@@ -160,9 +160,9 @@ pub struct ServiceConfig {
     /// Per-client bound on unresolved items (queued + running + awaiting
     /// retry).
     pub per_client_quota: usize,
-    /// Largest number of same-plan items fused into one pool job per
-    /// dispatch round — bounds how long a round can keep the dispatcher
-    /// busy before it re-examines the queue.
+    /// Largest number of items fused into one pool job per dispatch round
+    /// — same-plan or mixed-plan alike — bounding how long a round can keep
+    /// the dispatcher busy before it re-examines the queue.
     pub max_group: usize,
     /// Bounded coalescing window: with a non-zero linger, a dispatch round
     /// whose queue holds fewer than [`ServiceConfig::max_group`] items
@@ -560,12 +560,12 @@ struct GroupSink<T: Scalar<Real = f64>> {
 }
 
 impl<T: Scalar<Real = f64>> ItemSink<T> for GroupSink<T> {
-    fn item_done(&self, index: usize, outcome: Result<QrFactorization<T>, QrError>) {
+    fn item_done(&self, index: usize, done: ItemDone<T>) {
         let item = self.items[index]
             .lock()
             .take()
             .expect("the stream delivers each item exactly once");
-        self.shared.finish_attempt(item, outcome);
+        self.shared.finish_attempt(item, done.into_factorization());
     }
 }
 
@@ -826,8 +826,8 @@ enum Round<T: Scalar<Real = f64>> {
     Exit,
 }
 
-/// The dispatcher thread: waits for work, collects a fair same-plan group,
-/// and runs it as one fused streaming job. Single-threaded by design — it
+/// The dispatcher thread: waits for work, collects a fair (possibly
+/// mixed-plan) group, and runs it as one fused streaming job. Single-threaded by design — it
 /// is the only pool submitter, so fused jobs never contend, and all
 /// fairness state lives under one lock.
 fn dispatch_loop<T: Scalar<Real = f64>>(shared: Arc<Shared<T>>) {
@@ -999,10 +999,12 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
     {
         shared.stats.mixed_groups.fetch_add(1, Ordering::Relaxed);
     }
+    let plans: Vec<Arc<QrPlan<T>>> = runnable.iter().map(|i| Arc::clone(&i.plan)).collect();
     let entries: Vec<StreamEntry<T>> = runnable
         .iter()
-        .map(|item| StreamEntry {
-            plan: Arc::clone(&item.plan),
+        .zip(&plans)
+        .map(|(item, plan)| StreamEntry {
+            plan,
             input: StreamInput::Dense(Arc::clone(&item.a)),
             probe: probe_id(item.seq, item.attempt),
         })
@@ -1011,7 +1013,7 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
         shared: Arc::clone(shared),
         items: runnable.into_iter().map(|i| Mutex::new(Some(i))).collect(),
     });
-    shared.ctx.factorize_stream(entries, &sink);
+    shared.ctx.factorize_stream(entries, sink, None, None);
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!
 //! [`FactorizationState::run_ws`] is the task body every scheduler of the
 //! executor drives ([`SchedulerKind`](crate::executor::SchedulerKind):
-//! locked FIFO, work stealing, priority work stealing). It is
+//! work stealing, priority work stealing). It is
 //! scheduler-agnostic by design: correctness relies only on the DAG
 //! ordering conflicting tasks, never on *which* ready task runs first, so
 //! the factorization output is bitwise identical under every policy.
@@ -371,10 +371,12 @@ mod tests {
 
     #[test]
     fn run_ws_is_bitwise_identical_under_every_scheduler() {
-        // The same DAG executed by each scheduler against a fresh state must
-        // produce bit-for-bit the same tiles and T factors as the sequential
+        // The same DAG executed by each scheduler on the pool must produce
+        // bit-for-bit the same tiles and T factors as the sequential
         // reference walk.
-        use crate::executor::{execute_parallel_with_scheduler, SchedulerKind};
+        use crate::context::{QrContext, QrPlan};
+        use crate::driver::QrConfig;
+        use crate::executor::SchedulerKind;
         let a = random_matrix::<f64>(24, 12, 5);
         let dag = TaskDag::build(&Algorithm::Greedy.elimination_list(6, 3), KernelFamily::TT);
 
@@ -385,17 +387,17 @@ mod tests {
         }
         let (tiles_ref, tg_ref, te_ref) = reference.into_parts();
 
+        let plan: QrPlan<f64> = QrPlan::new(24, 12, QrConfig::new(4)).unwrap();
         for kind in SchedulerKind::ALL {
-            let state = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
-            execute_parallel_with_scheduler(
-                &dag,
-                4,
-                kind,
-                || Workspace::<f64>::new(4),
-                |task, ws| state.run_ws(task, ws),
+            let ctx = QrContext::with_scheduler(4, kind).unwrap();
+            let f = ctx.factorize(&plan, &a).unwrap();
+            assert_eq!(
+                f.factored_tiles(),
+                &tiles_ref,
+                "tiles differ under {}",
+                kind.name()
             );
-            let (tiles, tg, te) = state.into_parts();
-            assert_eq!(tiles, tiles_ref, "tiles differ under {}", kind.name());
+            let (tg, te) = f.into_t_parts();
             assert_eq!(tg, tg_ref, "GEQRT T factors differ under {}", kind.name());
             assert_eq!(te, te_ref, "elim T factors differ under {}", kind.name());
         }

@@ -7,13 +7,13 @@
 //! the longest chain actually observed, and a simple parallelism profile.
 //! The `schedule_trace` example prints such a report.
 //!
-//! Tracing stays off the executor's hot path: each worker records into its
+//! Tracing stays off the engine's hot path: each worker records into its
 //! own local [`WorkerTrace`] buffer (no lock, no allocation once the buffer
 //! is reserved) and the buffers are merged into the shared
-//! [`ExecutionTrace`] exactly once, when the worker shuts down and drops its
-//! `WorkerTrace`. A [`WorkerTrace::disabled`] handle makes every `record`
-//! call a true no-op — not even a timestamp is taken — so untraced runs pay
-//! nothing.
+//! [`ExecutionTrace`] exactly once, when the worker's share of the job ends
+//! and drops its `WorkerTrace`. A [`WorkerTrace::disabled`] handle makes
+//! every `record` call one branch around the task — not even a timestamp is
+//! taken — so untraced runs pay next to nothing.
 
 use std::time::{Duration, Instant};
 
@@ -74,7 +74,8 @@ impl ExecutionTrace {
     }
 
     /// Creates a lock-free per-worker recording buffer that merges itself
-    /// into this trace when dropped (i.e. at pool shutdown).
+    /// into this trace when dropped (at the end of the worker's share of
+    /// the job).
     pub fn worker(&self) -> WorkerTrace<'_> {
         self.worker_with_capacity(0)
     }
@@ -99,7 +100,7 @@ impl ExecutionTrace {
 
     /// Returns the recorded spans. Spans recorded via [`ExecutionTrace::record`]
     /// appear in completion order; spans from [`WorkerTrace`] buffers arrive
-    /// as one contiguous batch per worker at pool shutdown (completion order
+    /// as one contiguous batch per worker at the end of its job (completion order
     /// *within* each worker, workers interleaved arbitrarily) — sort by
     /// [`TaskSpan::end`] if a global completion order is needed.
     pub fn spans(&self) -> Vec<TaskSpan> {

@@ -9,7 +9,7 @@
 //! `--features fault-injection`) and the pool's unit tests.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tileqr_matrix::generate::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
@@ -180,6 +180,68 @@ fn mid_run_deadline_returns_partial_results() {
     match ctx.factorize_with_deadline(&plan, &inputs[0], Duration::from_secs(60)) {
         Ok(f) => assert_eq!(f.factored_tiles(), references[0].factored_tiles()),
         Err(e) => panic!("a 60 s deadline should not fire: {e}"),
+    }
+}
+
+#[test]
+fn mid_run_deadline_fails_items_and_keeps_in_place_grids() {
+    // A deadline shorter than one item's run time must fire mid-run on both
+    // engines: inline on the caller thread (`threads == 1`, which checks the
+    // clock between tasks) and on the pool (the submitter polls it).
+    let (m, n, nb) = (192usize, 96usize, 8usize);
+    let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).expect("valid shape");
+    let inputs: Vec<Matrix<f64>> = (0..4).map(|i| random_matrix(m, n, 220 + i)).collect();
+    let references: Vec<_> = inputs
+        .iter()
+        .map(|a| qr_factorize(a, QrConfig::new(nb)))
+        .collect();
+    for threads in [1usize, 3] {
+        let ctx = QrContext::new(threads).unwrap();
+        // A quarter of the fastest of three single-item runs: every batch
+        // needs at least one item's run time, so the deadline always fires.
+        let item_time = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                ctx.factorize(&plan, &inputs[0])
+                    .expect("unbounded run succeeds");
+                start.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        let timeout = item_time / 4;
+
+        let batch = ctx.factorize_batch_with_deadline(&plan, &inputs, timeout);
+        let mut failed = 0;
+        for (item, reference) in batch.into_iter().zip(&references) {
+            match item {
+                Ok(f) => assert_eq!(f.factored_tiles(), reference.factored_tiles()),
+                Err(QrError::DeadlineExceeded) => failed += 1,
+                Err(other) => panic!("[{threads} thread(s)] unexpected error: {other}"),
+            }
+        }
+        assert!(failed > 0, "[{threads} thread(s)] the deadline never fired");
+
+        let mut tiles: Vec<TiledMatrix<f64>> = inputs
+            .iter()
+            .map(|a| TiledMatrix::from_dense_padded(a, nb))
+            .collect();
+        let out = ctx.factorize_batch_into_with_deadline(&plan, &mut tiles, timeout);
+        let mut failed = 0;
+        for ((item, t), reference) in out.iter().zip(&tiles).zip(&references) {
+            match item {
+                Ok(_) => assert_eq!(t, reference.factored_tiles()),
+                Err(QrError::DeadlineExceeded) => {
+                    failed += 1;
+                    assert_eq!(
+                        (t.tile_rows(), t.tile_cols(), t.tile_size()),
+                        (plan.tile_rows(), plan.tile_cols(), plan.tile_size()),
+                        "[{threads} thread(s)] an errored buffer lost its grid"
+                    );
+                }
+                Err(other) => panic!("[{threads} thread(s)] unexpected error: {other}"),
+            }
+        }
+        assert!(failed > 0, "[{threads} thread(s)] the deadline never fired");
     }
 }
 
