@@ -24,10 +24,12 @@
 //! [`crate::microblas`] backend; the structured parts (the unit-lower
 //! triangle of UNMQR reflectors, the packed upper triangle of TTMQR
 //! reflectors, the identity top block of the stacked TS/TT reflectors) use
-//! the small panel helpers in [`crate::blas`]. Targets wider than `nb` are
-//! processed in `nb`-column chunks staged through the workspace's `W`
-//! buffer, exactly as before. The workspace's `ib` must match the one used
-//! at factor time — the `T` factors are stored `ib`-blocked. With `ib = nb`
+//! the small panel helpers in [`crate::blas`]. A target may have any number
+//! of columns, narrower or wider than `nb`: it is processed in chunks of at
+//! most `nb` columns staged through the workspace's `W` buffer. The runtime's
+//! `Qᴴ·B` replay relies on this to update `nb × k` right-hand-side panels
+//! directly. The workspace's `ib` must match the one used at factor time —
+//! the `T` factors are stored `ib`-blocked. With `ib = nb`
 //! there is a single panel per tile and [`unmqr_ws`] is bit-identical to the
 //! historical unblocked path; [`ttmqr_ws`] additionally packs `V2`'s
 //! triangle into the workspace's packed scratch (contiguous columns, no
@@ -378,10 +380,29 @@ mod tests {
         assert!(d < TOL, "matrices differ by {d}");
     }
 
-    /// Explicit Q = I − V·T·Vᴴ for a GEQRT-factored tile.
-    fn explicit_q_geqrt<T: Scalar<Real = f64>>(a: &Matrix<T>, t: &Matrix<T>) -> Matrix<T> {
+    /// Explicit `Q = P_1⋯P_l` for a reflector basis `v` (unit parts
+    /// included) and its `ib`-blocked `T` factors: the panel of `w` columns
+    /// starting at `j0` is `P_s = I − V_s·T_s·V_sᴴ`, with `T_s` the `w × w`
+    /// upper triangle at rows `0..w` of `T`'s columns `j0..j0 + w`. With
+    /// `ib = nb` this is the single reflector `I − V·T·Vᴴ`.
+    fn explicit_q<T: Scalar<Real = f64>>(v: &Matrix<T>, t: &Matrix<T>, ib: usize) -> Matrix<T> {
+        let (rows, nb) = v.shape();
+        let mut q = Matrix::<T>::identity(rows);
+        for j0 in (0..nb).step_by(ib) {
+            let w = ib.min(nb - j0);
+            let vs = v.sub_matrix(0, j0, rows, w);
+            let mut ts = t.sub_matrix(0, j0, w, w);
+            ts.zero_below_diagonal();
+            let ps = Matrix::<T>::identity(rows).sub(&vs.matmul(&ts.matmul(&vs.conj_transpose())));
+            q = q.matmul(&ps);
+        }
+        q
+    }
+
+    /// Unit-lower reflector basis of a GEQRT-factored tile.
+    fn explicit_v_geqrt<T: Scalar<Real = f64>>(a: &Matrix<T>) -> Matrix<T> {
         let nb = a.rows();
-        let v = Matrix::from_fn(nb, nb, |i, j| {
+        Matrix::from_fn(nb, nb, |i, j| {
             if i == j {
                 T::ONE
             } else if i > j {
@@ -389,19 +410,29 @@ mod tests {
             } else {
                 T::ZERO
             }
-        });
-        Matrix::<T>::identity(nb).sub(&v.matmul(&t.matmul(&v.conj_transpose())))
+        })
     }
 
-    /// Explicit 2nb × 2nb Q for a TS/TT-factored tile pair with bottom block V2.
-    fn explicit_q_stacked<T: Scalar<Real = f64>>(v2: &Matrix<T>, t: &Matrix<T>) -> Matrix<T> {
+    /// Stacked `2nb × nb` reflector basis `[I; V2]` of a TS/TT-factored
+    /// tile pair.
+    fn explicit_v_stacked<T: Scalar<Real = f64>>(v2: &Matrix<T>) -> Matrix<T> {
         let nb = v2.rows();
         let mut v = Matrix::zeros(2 * nb, nb);
         for j in 0..nb {
             v.set(j, j, T::ONE);
         }
         v.copy_block(nb, 0, v2, 0, 0, nb, nb);
-        Matrix::<T>::identity(2 * nb).sub(&v.matmul(&t.matmul(&v.conj_transpose())))
+        v
+    }
+
+    /// Explicit Q = I − V·T·Vᴴ for a GEQRT-factored tile.
+    fn explicit_q_geqrt<T: Scalar<Real = f64>>(a: &Matrix<T>, t: &Matrix<T>) -> Matrix<T> {
+        explicit_q(&explicit_v_geqrt(a), t, a.rows())
+    }
+
+    /// Explicit 2nb × 2nb Q for a TS/TT-factored tile pair with bottom block V2.
+    fn explicit_q_stacked<T: Scalar<Real = f64>>(v2: &Matrix<T>, t: &Matrix<T>) -> Matrix<T> {
+        explicit_q(&explicit_v_stacked(v2), t, v2.rows())
     }
 
     fn check_unmqr<T: tileqr_matrix::generate::RandomScalar>(nb: usize, seed: u64) {
@@ -496,6 +527,90 @@ mod tests {
         for nb in [1usize, 2, 4, 12] {
             check_ttmqr::<f64>(nb, 700 + nb as u64);
             check_ttmqr::<Complex64>(nb, 800 + nb as u64);
+        }
+    }
+
+    /// `Qᴴ` or `Q`, as `trans` selects.
+    fn op<T: Scalar<Real = f64>>(q: &Matrix<T>, trans: Trans) -> Matrix<T> {
+        match trans {
+            Trans::ConjTrans => q.conj_transpose(),
+            Trans::NoTrans => q.clone(),
+        }
+    }
+
+    /// `op(Q)·[c1; c2]`, split back into halves.
+    fn stacked_product<T: Scalar<Real = f64>>(
+        q: &Matrix<T>,
+        c1: &Matrix<T>,
+        c2: &Matrix<T>,
+        trans: Trans,
+    ) -> (Matrix<T>, Matrix<T>) {
+        let (nb, k) = c1.shape();
+        let mut stacked = Matrix::zeros(2 * nb, k);
+        stacked.copy_block(0, 0, c1, 0, 0, nb, k);
+        stacked.copy_block(nb, 0, c2, 0, 0, nb, k);
+        let out = op(q, trans).matmul(&stacked);
+        (out.sub_matrix(0, 0, nb, k), out.sub_matrix(nb, 0, nb, k))
+    }
+
+    /// The three update kernels on `nb × k` targets narrower and wider than
+    /// the tile (`k ∈ {1, 3, nb + 5}`), with `ib ∈ {nb, 3}`, against the
+    /// explicit `Q` of the factored tile(s).
+    fn check_narrow_targets<T: tileqr_matrix::generate::RandomScalar>(nb: usize, seed: u64) {
+        for ib in [nb, 3] {
+            let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
+            let t_rows = ib.min(nb);
+
+            let mut a: Matrix<T> = random_matrix(nb, nb, seed);
+            let mut t_ge = Matrix::zeros(t_rows, nb);
+            crate::factor::geqrt_ws(&mut a, &mut t_ge, &mut ws);
+            let q_ge = explicit_q(&explicit_v_geqrt(&a), &t_ge, ib);
+
+            let mut r1: Matrix<T> = random_matrix(nb, nb, seed + 1);
+            r1.zero_below_diagonal();
+            let mut a2: Matrix<T> = random_matrix(nb, nb, seed + 2);
+            let mut t_ts = Matrix::zeros(t_rows, nb);
+            crate::factor::tsqrt_ws(&mut r1, &mut a2, &mut t_ts, &mut ws);
+            let q_ts = explicit_q(&explicit_v_stacked(&a2), &t_ts, ib);
+
+            let mut r1: Matrix<T> = random_matrix(nb, nb, seed + 3);
+            r1.zero_below_diagonal();
+            let mut r2: Matrix<T> = random_matrix(nb, nb, seed + 4);
+            r2.zero_below_diagonal();
+            let mut t_tt = Matrix::zeros(t_rows, nb);
+            crate::factor::ttqrt_ws(&mut r1, &mut r2, &mut t_tt, &mut ws);
+            let q_tt = explicit_q(&explicit_v_stacked(&r2), &t_tt, ib);
+
+            for k in [1, 3, nb + 5] {
+                let c0: Matrix<T> = random_matrix(nb, k, seed + 10 + k as u64);
+                let c1_0: Matrix<T> = random_matrix(nb, k, seed + 20 + k as u64);
+                let c2_0: Matrix<T> = random_matrix(nb, k, seed + 30 + k as u64);
+                for trans in [Trans::ConjTrans, Trans::NoTrans] {
+                    let mut c = c0.clone();
+                    unmqr_ws(&a, &t_ge, &mut c, trans, &mut ws);
+                    assert_close(&c, &op(&q_ge, trans).matmul(&c0));
+
+                    let (want1, want2) = stacked_product(&q_ts, &c1_0, &c2_0, trans);
+                    let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
+                    tsmqr_ws(&a2, &t_ts, &mut c1, &mut c2, trans, &mut ws);
+                    assert_close(&c1, &want1);
+                    assert_close(&c2, &want2);
+
+                    let (want1, want2) = stacked_product(&q_tt, &c1_0, &c2_0, trans);
+                    let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
+                    ttmqr_ws(&r2, &t_tt, &mut c1, &mut c2, trans, &mut ws);
+                    assert_close(&c1, &want1);
+                    assert_close(&c2, &want2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_kernels_apply_q_to_narrow_and_wide_targets() {
+        for nb in [5usize, 8] {
+            check_narrow_targets::<f64>(nb, 1000 + nb as u64);
+            check_narrow_targets::<Complex64>(nb, 1100 + nb as u64);
         }
     }
 

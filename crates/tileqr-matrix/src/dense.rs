@@ -141,10 +141,8 @@ impl<T: Scalar> Matrix<T> {
             "source block out of bounds"
         );
         for j in 0..bj {
-            for i in 0..bi {
-                let v = src.get(src_i + i, src_j + j);
-                self.set(dst_i + i, dst_j + j, v);
-            }
+            let from = &src.col(src_j + j)[src_i..src_i + bi];
+            self.col_mut(dst_j + j)[dst_i..dst_i + bi].copy_from_slice(from);
         }
     }
 
@@ -415,6 +413,33 @@ mod tests {
         assert_eq!(b.get(2, 0), a.get(0, 0));
         assert_eq!(b.get(3, 1), a.get(1, 1));
         assert_eq!(b.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn copy_block_matches_an_elementwise_copy_on_ragged_shapes() {
+        let src = Matrix::<f64>::from_fn(7, 5, |i, j| (i * 10 + j) as f64 + 0.5);
+        for (dst_i, dst_j, src_i, src_j, bi, bj) in [
+            (0, 0, 0, 0, 7, 5),
+            (1, 2, 3, 1, 4, 3),
+            (5, 0, 0, 4, 3, 1),
+            (2, 3, 6, 0, 1, 2),
+            (4, 3, 2, 2, 0, 3),
+            (0, 6, 1, 1, 5, 0),
+        ] {
+            let dirty = Matrix::<f64>::from_fn(8, 6, |i, j| -((i + 2 * j) as f64));
+            let mut got = dirty.clone();
+            got.copy_block(dst_i, dst_j, &src, src_i, src_j, bi, bj);
+            let mut want = dirty;
+            for j in 0..bj {
+                for i in 0..bi {
+                    want.set(dst_i + i, dst_j + j, src.get(src_i + i, src_j + j));
+                }
+            }
+            assert!(
+                got == want,
+                "copy_block({dst_i}, {dst_j}, _, {src_i}, {src_j}, {bi}, {bj})"
+            );
+        }
     }
 
     #[test]

@@ -95,11 +95,11 @@ impl<T: Scalar> TiledMatrix<T> {
         let p = a.rows().div_ceil(nb);
         let q = a.cols().div_ceil(nb);
         let mut t = TiledMatrix::zeros(p.max(1), q.max(1), nb);
-        for j in 0..a.cols() {
-            for i in 0..a.rows() {
-                let (ti, ri) = (i / nb, i % nb);
-                let (tj, rj) = (j / nb, j % nb);
-                t.tile_mut(ti, tj).set(ri, rj, a.get(i, j));
+        for tj in 0..q {
+            for ti in 0..p {
+                let (rows, cols) = t.valid_block(a, ti, tj);
+                t.tile_mut(ti, tj)
+                    .copy_block(0, 0, a, ti * nb, tj * nb, rows, cols);
             }
         }
         t
@@ -129,21 +129,29 @@ impl<T: Scalar> TiledMatrix<T> {
         );
         for tj in 0..self.q {
             for ti in 0..self.p {
+                let (rows, cols) = self.valid_block(a, ti, tj);
                 let tile = self.tile_mut(ti, tj);
                 for rj in 0..nb {
-                    let j = tj * nb + rj;
-                    for ri in 0..nb {
-                        let i = ti * nb + ri;
-                        let v = if i < a.rows() && j < a.cols() {
-                            a.get(i, j)
-                        } else {
-                            T::ZERO
-                        };
-                        tile.set(ri, rj, v);
+                    let col = tile.col_mut(rj);
+                    let copied = if rj < cols { rows } else { 0 };
+                    if copied > 0 {
+                        let j = tj * nb + rj;
+                        col[..copied].copy_from_slice(&a.col(j)[ti * nb..ti * nb + copied]);
                     }
+                    col[copied..].fill(T::ZERO);
                 }
             }
         }
+    }
+
+    /// Rows and columns of tile `(ti, tj)` that hold entries of `a` (the
+    /// rest of the tile is padding).
+    fn valid_block(&self, a: &Matrix<T>, ti: usize, tj: usize) -> (usize, usize) {
+        let nb = self.nb;
+        (
+            nb.min(a.rows().saturating_sub(ti * nb)),
+            nb.min(a.cols().saturating_sub(tj * nb)),
+        )
     }
 
     /// Reassembles the dense `(p·nb) × (q·nb)` matrix.
@@ -217,32 +225,6 @@ impl<T: Scalar> TiledMatrix<T> {
             self.q
         );
         &mut self.tiles[j * self.p + i]
-    }
-
-    /// Mutable access to two *distinct* tiles at once, in the order
-    /// requested. Used by the runtime's update kernels (TSMQR/TTMQR), which
-    /// rewrite a pivot-row tile and an eliminated-row tile in one call
-    /// without cloning either.
-    ///
-    /// # Panics
-    /// Panics if the two coordinates are equal or out of bounds.
-    pub fn tile_pair_mut(
-        &mut self,
-        (i1, j1): (usize, usize),
-        (i2, j2): (usize, usize),
-    ) -> (&mut Matrix<T>, &mut Matrix<T>) {
-        assert!(i1 < self.p && j1 < self.q, "tile ({i1},{j1}) out of bounds");
-        assert!(i2 < self.p && j2 < self.q, "tile ({i2},{j2}) out of bounds");
-        let a = j1 * self.p + i1;
-        let b = j2 * self.p + i2;
-        assert_ne!(a, b, "tile_pair_mut requires distinct tiles");
-        if a < b {
-            let (lo, hi) = self.tiles.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.tiles.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
     }
 
     /// Replaces tile `(i, j)` wholesale.
@@ -360,6 +342,64 @@ mod tests {
         buf.fill_from_dense_padded(&a);
     }
 
+    /// Naive element-wise tiling reference: entry `(i, j)` of the padded
+    /// grid is `a(i, j)` inside `a` and zero outside.
+    fn naive_tiling(a: &Matrix<f64>, nb: usize) -> TiledMatrix<f64> {
+        let (p, q) = (a.rows().div_ceil(nb).max(1), a.cols().div_ceil(nb).max(1));
+        let mut t = TiledMatrix::zeros(p, q, nb);
+        for j in 0..q * nb {
+            for i in 0..p * nb {
+                let v = if i < a.rows() && j < a.cols() {
+                    a.get(i, j)
+                } else {
+                    0.0
+                };
+                t.tile_mut(i / nb, j / nb).set(i % nb, j % nb, v);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn column_slice_copies_match_an_elementwise_reference() {
+        for (m, n, nb) in [
+            (1, 1, 1),
+            (5, 3, 4),
+            (9, 7, 4),
+            (13, 2, 5),
+            (8, 8, 4),
+            (3, 11, 16),
+            (0, 0, 3),
+        ] {
+            let a = random_matrix::<f64>(m, n, (m * 31 + n * 7 + nb) as u64);
+            let want = naive_tiling(&a, nb);
+            assert_eq!(
+                TiledMatrix::from_dense_padded(&a, nb),
+                want,
+                "from_dense_padded {m}x{n} nb={nb}"
+            );
+            let mut buf = want.clone();
+            for i in 0..buf.rows() {
+                for j in 0..buf.cols() {
+                    buf.set(i, j, -3.25);
+                }
+            }
+            buf.fill_from_dense_padded(&a);
+            assert_eq!(buf, want, "fill_from_dense_padded {m}x{n} nb={nb}");
+            let dense = want.to_dense();
+            assert_eq!(dense.shape(), (want.rows(), want.cols()));
+            for j in 0..want.cols() {
+                for i in 0..want.rows() {
+                    assert_eq!(
+                        dense.get(i, j),
+                        want.get(i, j),
+                        "to_dense {m}x{n} nb={nb} at ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn set_tile_and_mutation_roundtrip() {
         let mut t = TiledMatrix::<f64>::zeros(2, 2, 3);
@@ -381,28 +421,6 @@ mod tests {
         let rebuilt = TiledMatrix::from_tiles(tiles, p, q, nb);
         assert_eq!(rebuilt, copy);
         assert_eq!(rebuilt.to_dense(), a);
-    }
-
-    #[test]
-    fn tile_pair_mut_returns_distinct_tiles_in_request_order() {
-        let a = counting_matrix::<f64>(6, 4);
-        let mut t = TiledMatrix::from_dense(&a, 2);
-        let (x, y) = t.tile_pair_mut((0, 1), (2, 0));
-        x.set(0, 0, -1.0);
-        y.set(1, 1, -2.0);
-        assert_eq!(t.tile(0, 1).get(0, 0), -1.0);
-        assert_eq!(t.tile(2, 0).get(1, 1), -2.0);
-        // reversed order too
-        let (x, y) = t.tile_pair_mut((2, 0), (0, 1));
-        assert_eq!(y.get(0, 0), -1.0);
-        assert_eq!(x.get(1, 1), -2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct tiles")]
-    fn tile_pair_mut_rejects_aliasing() {
-        let mut t = TiledMatrix::<f64>::zeros(2, 2, 2);
-        let _ = t.tile_pair_mut((1, 1), (1, 1));
     }
 
     #[test]

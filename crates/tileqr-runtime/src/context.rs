@@ -85,7 +85,7 @@ use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag, TaskKind};
 use tileqr_kernels::{Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::driver::{elimination_list_for, replay_q, QrConfig, QrFactorization};
+use crate::driver::{elimination_list_for, r_from_tiles, replay_q, QrConfig, QrFactorization};
 use crate::executor::{
     drive_worker, DriveCtl, FaultSink, GroupSucc, ItemMap, Scheduler, SchedulerKind, WorkStealing,
     WorkStealingPriority,
@@ -1864,10 +1864,7 @@ impl<T: Scalar<Real = f64>> QrReflectors<T> {
     /// tiles.
     pub fn r(&self, tiles: &TiledMatrix<T>) -> Matrix<T> {
         self.check_tiles(tiles);
-        let full = tiles.to_dense();
-        let mut r = full.sub_matrix(0, 0, self.n, self.n);
-        r.zero_below_diagonal();
-        r
+        r_from_tiles(tiles, self.n)
     }
 
     /// Applies `Qᴴ` to a dense matrix with `m` rows, replaying the block

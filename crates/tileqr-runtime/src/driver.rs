@@ -17,6 +17,12 @@
 //! here keep their historical panicking contract (`m ≥ n`, positive tile
 //! size) and are bitwise identical to the session API — both run the same
 //! kernels in a DAG-respecting order.
+//!
+//! Applying `Q`/`Qᴴ` to a dense right-hand side `B` (`m × k`) replays the
+//! factor tasks of the DAG on `B` held as one `nb × k` row panel per tile
+//! row ([`QrFactorization::apply_qh`], [`QrFactorization::apply_q`]): each
+//! task makes one update-kernel call on its panel or panel pair, so a few
+//! right-hand sides cost `k` columns of work, not a whole tile column.
 
 use std::sync::{Arc, Weak};
 
@@ -258,6 +264,14 @@ fn factorize_impl<T: Scalar<Real = f64>>(
 /// applying `Q` (reverse task order) or `Qᴴ` (forward order) built from the
 /// Householder tiles and the `ib`-blocked `T` factors.
 ///
+/// `b` is held as `p` row panels of `nb × k` (`k = b.cols()`), one per tile
+/// row; the rows past `m` stay zero. Each factor task makes one kernel call
+/// on its panel (GEQRT → UNMQR) or on its `(piv, row)` panel pair
+/// (TSQRT/TTQRT → TSMQR/TTMQR); the kernels walk the `k` columns in chunks
+/// of at most `nb`, so no right-hand side is padded to a whole tile. Rows
+/// are copied straight from `b` into the panels and back into the `m × k`
+/// result.
+///
 /// Shared by [`QrFactorization`] (owned tiles) and
 /// [`QrReflectors`](crate::context::QrReflectors) (caller-owned tiles).
 #[allow(clippy::too_many_arguments)] // internal seam between the two handles
@@ -274,6 +288,7 @@ pub(crate) fn replay_q<T: Scalar<Real = f64>>(
     assert_eq!(b.rows(), m, "row count must match the factored matrix");
     let nb = tiles.tile_size();
     let p = tiles.tile_rows();
+    let k = b.cols();
     let t_geqrt_of = |row: usize, col: usize| -> &Matrix<T> {
         t_geqrt[col * p + row]
             .as_ref()
@@ -284,11 +299,15 @@ pub(crate) fn replay_q<T: Scalar<Real = f64>>(
             .as_ref()
             .expect("missing elimination T factor — corrupt factorization")
     };
-    // Pad b to the same tile-row count as the factorization.
-    let mut padded = Matrix::zeros(p * nb, b.cols());
-    padded.copy_block(0, 0, b, 0, 0, b.rows(), b.cols());
-    let mut bt = TiledMatrix::from_dense_padded(&padded, nb);
-    let qb = bt.tile_cols();
+    // Rows of tile row `ti` that hold rows of `b` (the rest is padding).
+    let valid_rows = |ti: usize| nb.min(m.saturating_sub(ti * nb));
+    let mut panels: Vec<Matrix<T>> = (0..p)
+        .map(|ti| {
+            let mut panel = Matrix::zeros(nb, k);
+            panel.copy_block(0, 0, b, ti * nb, 0, valid_rows(ti), k);
+            panel
+        })
+        .collect();
 
     // The factor tasks of the DAG, in topological order.
     let factor_tasks: Vec<TaskKind> = dag
@@ -303,31 +322,23 @@ pub(crate) fn replay_q<T: Scalar<Real = f64>>(
         })
         .collect();
 
-    // One workspace serves the whole replay; the tile pairs are updated
-    // in place (no per-task clones). The panel width must match the
-    // ib-blocked T factors produced at factor time.
+    // One workspace serves the whole replay; the panels are updated in
+    // place. The panel width must match the ib-blocked T factors produced at
+    // factor time.
     let mut ws = Workspace::with_inner_block(nb, ib);
-    let mut apply_one = |bt: &mut TiledMatrix<T>, kind: TaskKind| match kind {
+    let mut apply_one = |kind: TaskKind| match kind {
         TaskKind::Geqrt { row, col } => {
-            let v = tiles.tile(row, col);
-            let t = t_geqrt_of(row, col);
-            for jb in 0..qb {
-                unmqr_ws(v, t, bt.tile_mut(row, jb), trans, &mut ws);
-            }
+            let (v, t) = (tiles.tile(row, col), t_geqrt_of(row, col));
+            unmqr_ws(v, t, &mut panels[row], trans, &mut ws);
         }
-        TaskKind::Tsqrt { row, piv, col } => {
-            let v2 = tiles.tile(row, col);
-            let t = t_elim_of(row, col);
-            for jb in 0..qb {
-                let (c1, c2) = bt.tile_pair_mut((piv, jb), (row, jb));
+        TaskKind::Tsqrt { row, piv, col } | TaskKind::Ttqrt { row, piv, col } => {
+            let (v2, t) = (tiles.tile(row, col), t_elim_of(row, col));
+            let [c1, c2] = panels
+                .get_disjoint_mut([piv, row])
+                .expect("pivot and eliminated rows are distinct tile rows");
+            if matches!(kind, TaskKind::Tsqrt { .. }) {
                 tsmqr_ws(v2, t, c1, c2, trans, &mut ws);
-            }
-        }
-        TaskKind::Ttqrt { row, piv, col } => {
-            let v2 = tiles.tile(row, col);
-            let t = t_elim_of(row, col);
-            for jb in 0..qb {
-                let (c1, c2) = bt.tile_pair_mut((piv, jb), (row, jb));
+            } else {
                 ttmqr_ws(v2, t, c1, c2, trans, &mut ws);
             }
         }
@@ -335,20 +346,32 @@ pub(crate) fn replay_q<T: Scalar<Real = f64>>(
     };
 
     match trans {
-        Trans::ConjTrans => {
-            for &kind in &factor_tasks {
-                apply_one(&mut bt, kind);
-            }
-        }
-        Trans::NoTrans => {
-            for &kind in factor_tasks.iter().rev() {
-                apply_one(&mut bt, kind);
-            }
-        }
+        Trans::ConjTrans => factor_tasks.iter().for_each(|&kind| apply_one(kind)),
+        Trans::NoTrans => factor_tasks.iter().rev().for_each(|&kind| apply_one(kind)),
     }
 
-    let dense = bt.to_dense();
-    dense.sub_matrix(0, 0, m, b.cols())
+    let mut out = Matrix::zeros(m, k);
+    for (ti, panel) in panels.iter().enumerate() {
+        out.copy_block(ti * nb, 0, panel, 0, 0, valid_rows(ti), k);
+    }
+    out
+}
+
+/// The upper-triangular `n × n` factor `R`, read from the tiles `(ti, tj)`
+/// with `ti ≤ tj < ⌈n/nb⌉` only: the tiles below the diagonal hold
+/// Householder vectors and the rows past `n` belong to no `R` entry.
+pub(crate) fn r_from_tiles<T: Scalar>(tiles: &TiledMatrix<T>, n: usize) -> Matrix<T> {
+    let nb = tiles.tile_size();
+    let mut r = Matrix::zeros(n, n);
+    for tj in 0..n.div_ceil(nb) {
+        let cols = nb.min(n - tj * nb);
+        for ti in 0..=tj {
+            let rows = nb.min(n - ti * nb);
+            r.copy_block(ti * nb, tj * nb, tiles.tile(ti, tj), 0, 0, rows, cols);
+        }
+    }
+    r.zero_below_diagonal();
+    r
 }
 
 impl<T: Scalar<Real = f64>> QrFactorization<T> {
@@ -383,10 +406,7 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
     /// The upper-triangular factor `R` (size `n × n`, the original column
     /// count before padding).
     pub fn r(&self) -> Matrix<T> {
-        let full = self.tiles.to_dense();
-        let mut r = full.sub_matrix(0, 0, self.n, self.n);
-        r.zero_below_diagonal();
-        r
+        r_from_tiles(&self.tiles, self.n)
     }
 
     /// Applies `Qᴴ` to a dense matrix with `m` rows (the original, unpadded
@@ -464,7 +484,7 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
     }
 
     /// Applies `Q` or `Qᴴ` to a dense matrix with `self.m` rows by replaying
-    /// the factorization's block reflectors on a tiled copy of `b`.
+    /// the factorization's block reflectors on row panels of `b`.
     fn apply(&self, b: &Matrix<T>, trans: Trans) -> Matrix<T> {
         replay_q(
             &self.tiles,

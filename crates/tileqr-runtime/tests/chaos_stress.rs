@@ -1,7 +1,7 @@
 //! Deterministic chaos suite (`--features fault-injection`).
 //!
 //! A hundred seeded fault schedules over the batch-stress shape mix, each
-//! replayed through **all three schedulers**: panics injected at random
+//! replayed through **every scheduler**: panics injected at random
 //! `(copy, task)` boundaries must be contained to exactly that batch item
 //! (which reports [`QrError::TaskPanicked`] with the faulted task's kind),
 //! while every non-faulted sibling — including the ones slowed down by
@@ -475,8 +475,8 @@ fn hundred_seeded_service_schedules_with_concurrent_clients() {
     let c64_services = chaos_services::<Complex64>();
     let mut rng = Rng::seed_from_u64(0x5E7FA017);
     for it in 0..RUNS {
-        // Alternate scalar type; every round replays its schedule on all
-        // three schedulers' services.
+        // Alternate scalar type; every round replays its schedule on every
+        // scheduler's service.
         if it % 2 == 0 {
             service_chaos_round::<f64>(&mut rng, &f64_services, it);
         } else {
