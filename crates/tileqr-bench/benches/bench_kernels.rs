@@ -1,15 +1,11 @@
 //! Micro-benchmarks of the six sequential tile kernels — the statistical
 //! counterpart of the paper's Figures 4–5 (kernel performance as a function
-//! of the tile size) — plus the `bench_workspace` comparison group tracking
-//! the kernel-backend trajectory across PRs:
-//!
-//! * `KERNEL/seed` — the original allocating, column-at-a-time kernels
-//!   (`tileqr_bench::seed_kernels`, frozen);
-//! * `KERNEL/ws` — the PR-1 zero-allocation blocked workspace kernels with
-//!   full-tile `T` factors and dot-product reductions
-//!   (`tileqr_bench::ws_kernels`, frozen);
-//! * `KERNEL/microblas` — the production kernels: inner-blocked (`ib`),
-//!   packed-triangular TT storage, register-tiled micro-BLAS backend.
+//! of the tile size). The `bench_workspace` group times the production
+//! kernels (`KERNEL/microblas`: inner-blocked, packed-triangular TT storage,
+//! every panel product on the register-tiled micro-BLAS backend) next to the
+//! dispatched `GEMM` on the same tile size. The `seed`, `ws` and
+//! `GEMM/naive` rows of the committed `BENCH_kernels.json` are history: the
+//! frozen kernel copies that produced them are gone.
 //!
 //! An additional `ib_sweep` group (largest configured tile size only)
 //! measures every kernel across inner blocking factors.
@@ -25,7 +21,6 @@
 //! ```
 
 use tileqr_bench::microbench::{run, write_json, Sample};
-use tileqr_bench::{seed_kernels, ws_kernels};
 use tileqr_kernels::blas::gemm_acc;
 use tileqr_kernels::flops::{gemm_flops, KernelKind};
 use tileqr_kernels::simd;
@@ -248,211 +243,19 @@ fn run_production_kernels(
     );
 }
 
-/// The backend comparison: every kernel, seed vs frozen-ws vs microblas,
-/// same inputs.
+/// The production kernels at the headline `ib`, next to the dispatched GEMM
+/// on the same tile size (Figures 4–5).
 fn bench_workspace(samples: &mut Vec<Sample>) {
     let group = "bench_workspace";
     for &nb in &tile_sizes() {
         let fi = FactorInputs::new(nb);
-        // Frozen baselines factor with the unblocked path (ib = nb T layout).
-        let ui_full = UpdateInputs::new(nb, nb);
-        let mut scratch: ws_kernels::WsScratch<f64> = ws_kernels::WsScratch::new(nb);
-        let mut t = Matrix::zeros(nb, nb);
-
-        // --- seed baselines (allocating, column-at-a-time) ---
-        let flops = |k: KernelKind| Some(k.flops(nb));
-        run(
-            samples,
-            group,
-            "GEQRT/seed",
-            nb,
-            flops(KernelKind::Geqrt),
-            || {
-                let mut work = fi.a.clone();
-                seed_kernels::geqrt(&mut work, &mut t);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TSQRT/seed",
-            nb,
-            flops(KernelKind::Tsqrt),
-            || {
-                let mut r = fi.r1.clone();
-                let mut a2 = fi.a2.clone();
-                seed_kernels::tsqrt(&mut r, &mut a2, &mut t);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TTQRT/seed",
-            nb,
-            flops(KernelKind::Ttqrt),
-            || {
-                let mut r1 = fi.r1b.clone();
-                let mut r2 = fi.r2b.clone();
-                seed_kernels::ttqrt(&mut r1, &mut r2, &mut t);
-            },
-        );
-        let mut c = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "UNMQR/seed",
-            nb,
-            flops(KernelKind::Unmqr),
-            || {
-                seed_kernels::unmqr(&ui_full.v, &ui_full.t_geqrt, &mut c, Trans::ConjTrans);
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TSMQR/seed",
-            nb,
-            flops(KernelKind::Tsmqr),
-            || {
-                seed_kernels::tsmqr(
-                    &ui_full.v2_ts,
-                    &ui_full.t_ts,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TTMQR/seed",
-            nb,
-            flops(KernelKind::Ttmqr),
-            || {
-                seed_kernels::ttmqr(
-                    &ui_full.v2_tt,
-                    &ui_full.t_tt,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                );
-            },
-        );
-
-        // --- frozen PR-1 workspace baselines ---
-        run(
-            samples,
-            group,
-            "GEQRT/ws",
-            nb,
-            flops(KernelKind::Geqrt),
-            || {
-                let mut work = fi.a.clone();
-                ws_kernels::geqrt_ws(&mut work, &mut t, &mut scratch);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TSQRT/ws",
-            nb,
-            flops(KernelKind::Tsqrt),
-            || {
-                let mut r = fi.r1.clone();
-                let mut a2 = fi.a2.clone();
-                ws_kernels::tsqrt_ws(&mut r, &mut a2, &mut t, &mut scratch);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TTQRT/ws",
-            nb,
-            flops(KernelKind::Ttqrt),
-            || {
-                let mut r1 = fi.r1b.clone();
-                let mut r2 = fi.r2b.clone();
-                ws_kernels::ttqrt_ws(&mut r1, &mut r2, &mut t, &mut scratch);
-            },
-        );
-        let mut c = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "UNMQR/ws",
-            nb,
-            flops(KernelKind::Unmqr),
-            || {
-                ws_kernels::unmqr_ws(
-                    &ui_full.v,
-                    &ui_full.t_geqrt,
-                    &mut c,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TSMQR/ws",
-            nb,
-            flops(KernelKind::Tsmqr),
-            || {
-                ws_kernels::tsmqr_ws(
-                    &ui_full.v2_ts,
-                    &ui_full.t_ts,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TTMQR/ws",
-            nb,
-            flops(KernelKind::Ttmqr),
-            || {
-                ws_kernels::ttmqr_ws(
-                    &ui_full.v2_tt,
-                    &ui_full.t_tt,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
-
-        // --- production micro-BLAS kernels at the headline ib ---
         let ib = headline_ib(nb);
-        let ui_ib = UpdateInputs::new(nb, ib);
-        run_production_kernels(samples, group, "microblas", nb, ib, &fi, &ui_ib);
+        let ui = UpdateInputs::new(nb, ib);
+        run_production_kernels(samples, group, "microblas", nb, ib, &fi, &ui);
 
-        // GEMM reference series (Figures 4–5): naive jki baseline and the
-        // register-tiled backend.
         let ga: Matrix<f64> = random_matrix(nb, nb, 17);
         let gb: Matrix<f64> = random_matrix(nb, nb, 18);
-        let mut gc = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "GEMM/naive",
-            nb,
-            Some(gemm_flops(nb)),
-            || {
-                ws_kernels::gemm_acc_naive(&mut gc, &ga, &gb);
-            },
-        );
-        let mut gc = ui_full.c0.clone();
+        let mut gc = ui.c0.clone();
         run(samples, group, "GEMM", nb, Some(gemm_flops(nb)), || {
             gemm_acc(&mut gc, &ga, &gb);
         });
@@ -670,41 +473,12 @@ fn bench_complex(samples: &mut Vec<Sample>) {
     });
 }
 
-/// Prints the per-kernel speedups along the backend trajectory.
-fn print_speedups(samples: &[Sample]) {
-    println!("\nbackend trajectory (higher is better):");
-    for &nb in &tile_sizes() {
-        for kernel in ["GEQRT", "TSQRT", "TTQRT", "UNMQR", "TSMQR", "TTMQR"] {
-            let find = |suffix: &str| {
-                samples
-                    .iter()
-                    .find(|s| {
-                        s.group == "bench_workspace"
-                            && s.param == nb
-                            && s.name == format!("{kernel}/{suffix}")
-                    })
-                    .map(|s| s.ns_per_iter)
-            };
-            if let (Some(seed), Some(ws), Some(mb)) = (find("seed"), find("ws"), find("microblas"))
-            {
-                println!(
-                    "  {kernel:<6} nb={nb:<4} ws/seed {:>5.2}x   microblas/ws {:>5.2}x   microblas/seed {:>5.2}x",
-                    seed / ws,
-                    ws / mb,
-                    seed / mb
-                );
-            }
-        }
-    }
-}
-
 fn main() {
     let mut samples = Vec::new();
     bench_workspace(&mut samples);
     bench_simd_dispatch(&mut samples);
     bench_ib_sweep(&mut samples);
     bench_complex(&mut samples);
-    print_speedups(&samples);
     print_dispatch_summary(&samples);
     write_json(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json"),

@@ -20,28 +20,32 @@
 //! W := V_sᴴ·C,   W := op(T_s)·W,   C := C − V_s·W.
 //! ```
 //!
-//! The dense bulk of every panel product runs on the register-tiled
-//! [`crate::microblas`] backend; the structured parts (the unit-lower
-//! triangle of UNMQR reflectors, the packed upper triangle of TTMQR
-//! reflectors, the identity top block of the stacked TS/TT reflectors) use
-//! the small panel helpers in [`crate::blas`]. A target may have any number
-//! of columns, narrower or wider than `nb`: it is processed in chunks of at
-//! most `nb` columns staged through the workspace's `W` buffer. The runtime's
-//! `Qᴴ·B` replay relies on this to update `nb × k` right-hand-side panels
-//! directly. The workspace's `ib` must match the one used at factor time —
-//! the `T` factors are stored `ib`-blocked. With `ib = nb`
-//! there is a single panel per tile and [`unmqr_ws`] is bit-identical to the
-//! historical unblocked path; [`ttmqr_ws`] additionally packs `V2`'s
-//! triangle into the workspace's packed scratch (contiguous columns, no
-//! reads of the garbage below the diagonal), which leaves its arithmetic
-//! order unchanged.
+//! Both products with `V_s` run on the register-tiled [`crate::microblas`]
+//! backend as zero-padded GEMMs, the `w × w` triangle of the panel included:
+//!
+//! * [`unmqr_ws`] copies the panel's unit-lower trapezoid (rows `j0..nb`:
+//!   zeros above the diagonal, ones on it) into the workspace once per panel
+//!   and multiplies with that dense copy over rows `j0..nb` of the target;
+//! * [`ttmqr_ws`] packs `V2`'s triangle into the workspace's packed scratch
+//!   (contiguous columns, no reads of the garbage below the diagonal) and
+//!   hands the microkernel the short packed columns, which it pads with
+//!   zeros up to row `j0 + w`;
+//! * [`tsmqr_ws`]'s `V2` is dense.
+//!
+//! The identity top block of the stacked TS/TT reflectors and the `T_s`
+//! product use the small helpers in [`crate::blas`]. A target may have any
+//! number of columns, narrower or wider than `nb`: it is processed in chunks
+//! of at most `nb` columns staged through the workspace's `W` buffer. The
+//! runtime's `Qᴴ·B` replay relies on this to update `nb × k`
+//! right-hand-side panels directly. The workspace's `ib` must match the one
+//! used at factor time — the `T` factors are stored `ib`-blocked. With
+//! `ib = nb` there is a single panel per tile.
 
 use tileqr_matrix::packed::{pack_upper_triangle, packed_col, packed_len};
 use tileqr_matrix::{Matrix, Scalar};
 
 use crate::blas::{
-    copy_rows_window_into, panel_packed_upper_apply, panel_packed_upper_stage,
-    panel_unit_lower_apply, panel_unit_lower_stage, sub_rows_window_assign, trmm_upper_left_window,
+    copy_rows_window_into, copy_unit_lower_panel, sub_rows_window_assign, trmm_upper_left_window,
 };
 use crate::microblas::{gemm_into, AMode};
 use crate::workspace::Workspace;
@@ -91,10 +95,11 @@ pub fn unmqr<T: Scalar<Real = f64>>(v: &Matrix<T>, t: &Matrix<T>, c: &mut Matrix
 /// UNMQR with caller-provided scratch: zero heap allocations.
 ///
 /// The update is the blocked compact-WY application of `larfb` per reflector
-/// panel: the target is processed in contiguous chunks of at most `nb`
-/// columns, each staged through the workspace's `W` buffer as `W := V_sᴴC`,
-/// `W := op(T_s)·W`, `C := C − V_s·W`, with the dense rows of the
-/// trapezoidal panel running on the micro-BLAS backend.
+/// panel: the panel's unit-lower trapezoid is copied once into the
+/// workspace, then the target is processed in contiguous chunks of at most
+/// `nb` columns, each staged through the workspace's `W` buffer as
+/// `W := V_sᴴC`, `W := op(T_s)·W`, `C := C − V_s·W`, both products running
+/// on the micro-BLAS backend over rows `j0..nb`.
 pub fn unmqr_ws<T: Scalar<Real = f64>>(
     v: &Matrix<T>,
     t: &Matrix<T>,
@@ -116,27 +121,31 @@ pub fn unmqr_ws<T: Scalar<Real = f64>>(
         w: wmat,
         apack,
         bpack,
+        vpanel,
         ..
     } = ws;
     let ncols = c.cols();
     let ldc = c.rows();
     let ldw = wmat.rows();
-    let mut c0 = 0;
-    while c0 < ncols {
-        let width = nb.min(ncols - c0);
-        for j0 in trans.panel_starts(nb, ib) {
-            let w = ib.min(nb - j0);
-            let j1 = j0 + w;
-            let coffc = |j: usize| (c0 + j) * ldc;
-            // W := V_triᴴ·C_top (+ V_denseᴴ·C_bot via the microkernel)
-            panel_unit_lower_stage(|k| v.col(k), j0, w, c.as_slice(), coffc, width, wmat);
+    for j0 in trans.panel_starts(nb, ib) {
+        let w = ib.min(nb - j0);
+        let ld = nb - j0;
+        copy_unit_lower_panel(|k| v.col(k), j0, w, nb, vpanel);
+        let vpcol = |p: usize| &vpanel[p * ld..(p + 1) * ld];
+        let mut c0 = 0;
+        while c0 < ncols {
+            let width = nb.min(ncols - c0);
+            // W := V_sᴴ·C[j0..nb, :]
+            for j in 0..width {
+                wmat.col_mut(j)[..w].fill(T::ZERO);
+            }
             gemm_into(
                 w,
                 width,
-                nb - j1,
+                ld,
                 AMode::ConjTrans,
-                |i| &v.col(j0 + i)[j1..],
-                |j| &c.col(c0 + j)[j1..],
+                vpcol,
+                |j| &c.col(c0 + j)[j0..],
                 wmat.as_mut_slice(),
                 |j| j * ldw,
                 false,
@@ -145,23 +154,22 @@ pub fn unmqr_ws<T: Scalar<Real = f64>>(
             );
             // W := op(T_s)·W
             trmm_upper_left_window(t, j0, w, wmat, width, trans.conj_t());
-            // C := C − V_s·W
-            panel_unit_lower_apply(|k| v.col(k), j0, w, c.as_mut_slice(), coffc, width, wmat);
+            // C[j0..nb, :] −= V_s·W
             gemm_into(
-                nb - j1,
+                ld,
                 width,
                 w,
                 AMode::NoTrans,
-                |p| &v.col(j0 + p)[j1..],
+                vpcol,
                 |j| wmat.col(j),
                 c.as_mut_slice(),
-                |j| (c0 + j) * ldc + j1,
+                |j| (c0 + j) * ldc + j0,
                 true,
                 apack,
                 bpack,
             );
+            c0 += width;
         }
-        c0 += width;
     }
 }
 
@@ -284,10 +292,9 @@ pub fn ttmqr<T: Scalar<Real = f64>>(
 /// Same blocked compact-WY panel structure as [`tsmqr_ws`], but `V2`'s upper
 /// triangle is packed once into the workspace's column-major packed scratch
 /// (only the triangle is read — never the GEQRT vectors below the diagonal)
-/// and every product with it is restricted to the trapezoid: the dense rows
-/// above the current panel run on the micro-BLAS backend, the `w × w`
-/// triangle on the packed panel helpers. This is what makes the TT kernel
-/// half the cost of the TS one.
+/// and every product with it stops at row `j0 + w` of the trapezoid: the
+/// micro-BLAS backend zero-pads the short packed columns. This is what makes
+/// the TT kernel half the cost of the TS one.
 pub fn ttmqr_ws<T: Scalar<Real = f64>>(
     v2: &Matrix<T>,
     t: &Matrix<T>,
@@ -324,14 +331,13 @@ pub fn ttmqr_ws<T: Scalar<Real = f64>>(
         for j0 in trans.panel_starts(nb, ib) {
             let w = ib.min(nb - j0);
             let coffc = |j: usize| (c0 + j) * ldc;
-            // W := C1[j0..j0+w, :] + V2_sᴴ·C2[0..j0+w, :]
-            // (identity top block, then dense rows 0..j0 via the microkernel
-            // and the w × w triangle via the packed panel helper)
+            // W := C1[j0..j0+w, :] + V2_sᴴ·C2[0..j0+w, :] (identity top
+            // block, then the packed trapezoid zero-padded to j0 + w rows)
             copy_rows_window_into(c1.as_slice(), coffc, j0, w, width, wmat);
             gemm_into(
                 w,
                 width,
-                j0,
+                j0 + w,
                 AMode::ConjTrans,
                 |i| vcol(j0 + i),
                 |j| c2.col(c0 + j),
@@ -341,17 +347,16 @@ pub fn ttmqr_ws<T: Scalar<Real = f64>>(
                 apack,
                 bpack,
             );
-            panel_packed_upper_stage(vcol, j0, w, c2.as_slice(), coffc, width, wmat);
             // W := op(T_s)·W
             trmm_upper_left_window(t, j0, w, wmat, width, trans.conj_t());
             // C1[j0..j0+w, :] −= W ; C2[0..j0+w, :] −= V2_s·W
             sub_rows_window_assign(c1.as_mut_slice(), coffc, j0, w, width, wmat);
             gemm_into(
-                j0,
+                j0 + w,
                 width,
                 w,
                 AMode::NoTrans,
-                |p| &vcol(j0 + p)[..j0],
+                |p| vcol(j0 + p),
                 |j| wmat.col(j),
                 c2.as_mut_slice(),
                 coffc,
@@ -359,7 +364,6 @@ pub fn ttmqr_ws<T: Scalar<Real = f64>>(
                 apack,
                 bpack,
             );
-            panel_packed_upper_apply(vcol, j0, w, c2.as_mut_slice(), coffc, width, wmat);
         }
         c0 += width;
     }
@@ -614,45 +618,54 @@ mod tests {
         }
     }
 
+    fn check_ttmqr_ignores_garbage<T: tileqr_matrix::generate::RandomScalar>(
+        nb: usize,
+        ib: usize,
+        seed: u64,
+    ) {
+        let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
+        let mut r1: Matrix<T> = random_matrix(nb, nb, seed);
+        r1.zero_below_diagonal();
+        let mut r2: Matrix<T> = random_matrix(nb, nb, seed + 1);
+        r2.zero_below_diagonal();
+        let mut t = Matrix::zeros(ib.min(nb), nb);
+        crate::factor::ttqrt_ws(&mut r1, &mut r2, &mut t, &mut ws);
+
+        // pollute the strictly lower part of v2
+        let garbage: Matrix<T> = random_matrix(nb, nb, seed + 2);
+        let mut r2_dirty = r2.clone();
+        for j in 0..nb {
+            for i in (j + 1)..nb {
+                r2_dirty.set(i, j, garbage.get(i, j));
+            }
+        }
+        let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
+        let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 4);
+        for trans in [Trans::ConjTrans, Trans::NoTrans] {
+            let (mut c1_clean, mut c2_clean) = (c1_0.clone(), c2_0.clone());
+            ttmqr_ws(&r2, &t, &mut c1_clean, &mut c2_clean, trans, &mut ws);
+            let (mut c1_dirty, mut c2_dirty) = (c1_0.clone(), c2_0.clone());
+            ttmqr_ws(&r2_dirty, &t, &mut c1_dirty, &mut c2_dirty, trans, &mut ws);
+            assert_eq!(c1_clean, c1_dirty, "nb={nb} ib={ib} {trans:?}");
+            assert_eq!(c2_clean, c2_dirty, "nb={nb} ib={ib} {trans:?}");
+        }
+    }
+
     #[test]
     fn ttmqr_ignores_garbage_below_v2_diagonal() {
         // After TTQRT in a real factorization the lower part of the V2 tile
         // still holds Householder vectors from an earlier GEQRT; TTMQR must
-        // not read them.
-        let nb = 6;
-        let mut r1: Matrix<f64> = random_matrix(nb, nb, 900);
-        r1.zero_below_diagonal();
-        let mut r2: Matrix<f64> = random_matrix(nb, nb, 901);
-        r2.zero_below_diagonal();
-        let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
-
-        let c1_0: Matrix<f64> = random_matrix(nb, nb, 902);
-        let c2_0: Matrix<f64> = random_matrix(nb, nb, 903);
-
-        let mut c1_clean = c1_0.clone();
-        let mut c2_clean = c2_0.clone();
-        ttmqr(&r2, &t, &mut c1_clean, &mut c2_clean, Trans::ConjTrans);
-
-        // pollute the strictly lower part of v2
-        let mut r2_dirty = r2.clone();
-        for j in 0..nb {
-            for i in (j + 1)..nb {
-                r2_dirty.set(i, j, 1234.5);
+        // not read them, whatever the panel width.
+        let mut cases = vec![(6usize, 6usize)];
+        for nb in [7, 13, 32] {
+            for ib in [1, 3, 5] {
+                cases.push((nb, ib));
             }
         }
-        let mut c1_dirty = c1_0.clone();
-        let mut c2_dirty = c2_0.clone();
-        ttmqr(
-            &r2_dirty,
-            &t,
-            &mut c1_dirty,
-            &mut c2_dirty,
-            Trans::ConjTrans,
-        );
-
-        assert_eq!(c1_clean, c1_dirty);
-        assert_eq!(c2_clean, c2_dirty);
+        for (nb, ib) in cases {
+            check_ttmqr_ignores_garbage::<f64>(nb, ib, 900 + nb as u64);
+            check_ttmqr_ignores_garbage::<Complex64>(nb, ib, 950 + nb as u64);
+        }
     }
 
     #[test]

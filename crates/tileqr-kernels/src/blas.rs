@@ -6,30 +6,27 @@
 //! the kernel code close to the mathematics in the paper and in the LAPACK
 //! `larfb`/`tpmqrt` routines they mirror.
 //!
-//! Three families live here:
+//! Two families live here:
 //!
 //! * the original allocating helpers ([`conj_trans_mul`],
 //!   [`conj_trans_mul_unit_lower`], …) that return fresh matrices — kept for
 //!   API compatibility and as the readable reference formulation;
-//! * allocation-free column-window variants (`*_into` / `*_cols`) that write
-//!   into a caller-provided staging panel (the `W` buffer of a
-//!   [`crate::workspace::Workspace`]) and operate on a contiguous window of
-//!   `width` columns starting at column `c0` — the pre-inner-blocking
-//!   formulation, retained for tests and as the frozen benchmark baseline;
-//! * *panel* helpers (`panel_*`, [`trmm_upper_left_window`],
+//! * *panel* helpers ([`copy_unit_lower_panel`], [`trmm_upper_left_window`],
 //!   [`copy_rows_window_into`], …) used by the inner-blocked (`ib`) kernels:
-//!   they handle the small structured parts of a trapezoidal reflector panel
-//!   (the unit-lower or packed-upper triangle, the `T`-factor `trmm`, the
-//!   pivot-row staging), while the dense rank-`ib` bulk of every update goes
-//!   through the register-tiled [`crate::microblas`] backend. Operand
-//!   columns are supplied as accessor closures and destinations as raw
-//!   column-major buffers plus a column-offset map, so the same code serves
-//!   dense tiles, `split_at_mut` windows and packed triangular storage.
+//!   they handle what surrounds the products with a reflector panel (the
+//!   dense copy of a unit-lower trapezoid, the `T`-factor `trmm`, the
+//!   pivot-row staging), while every product with the panel, its triangle
+//!   included, goes through the register-tiled [`crate::microblas`] backend.
+//!   Operand columns are supplied as accessor closures and destinations as
+//!   raw column-major buffers plus a column-offset map, so the same code
+//!   serves dense tiles and `split_at_mut` windows.
 //!
-//! Reductions in the first two families go through [`dot_conj`], which
-//! splits the accumulation into four independent chains so the CPU is not
-//! serialized on floating-point add latency; the micro-BLAS path gets its
-//! instruction-level parallelism from the `MR × NR` register block instead.
+//! The `Tᴴ` product of [`trmm_upper_left_window`] and the column-by-column
+//! reflector sweeps of the factorization kernels reduce through
+//! [`dot_conj`], which splits the accumulation into four independent chains
+//! so the CPU is not serialized on floating-point add latency; the
+//! micro-BLAS path gets its instruction-level parallelism from the
+//! `MR × NR` register block instead.
 
 use tileqr_matrix::{Matrix, Scalar};
 
@@ -62,374 +59,39 @@ pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
     (acc0 + acc1) + (acc2 + acc3)
 }
 
-/// `W(:, 0..width) := Vᴴ · C(:, c0..c0+width)` where `V` is unit lower
-/// triangular as in [`conj_trans_mul_unit_lower`], writing into the staging
-/// panel `w` instead of allocating.
-pub fn conj_trans_mul_unit_lower_into<T: Scalar>(
-    v: &Matrix<T>,
-    c: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "Vᴴ·C: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for k in 0..n {
-            let v_col = v.col(k);
-            // unit diagonal contributes c_col[k] directly
-            w_col[k] = c_col[k] + dot_conj(&v_col[k + 1..n], &c_col[k + 1..n]);
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= V · W(:, 0..width)` where `V` is unit lower
-/// triangular; the in-place companion of [`conj_trans_mul_unit_lower_into`].
-pub fn sub_mul_assign_unit_lower_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    v: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "C-=V·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..n {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            let v_col = v.col(k);
-            c_col[k] -= wkj; // unit diagonal entry
-            for (ci, &vi) in c_col[k + 1..n].iter_mut().zip(&v_col[k + 1..n]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// `W(:, 0..width) := C(:, c0..c0+width)` — loads the staging panel.
-pub fn copy_cols_into<T: Scalar>(c: &Matrix<T>, c0: usize, width: usize, w: &mut Matrix<T>) {
-    let n = c.rows();
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        w.col_mut(j)[..n].copy_from_slice(c.col(c0 + j));
-    }
-}
-
-/// `W(:, 0..width) += Aᴴ · B(:, c0..c0+width)` for a dense `A` — the
-/// accumulate-into variant of [`conj_trans_mul`].
-pub fn acc_conj_trans_mul_into<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    assert_eq!(a.rows(), b.rows(), "Aᴴ·B: row counts must agree");
-    assert!(c0 + width <= b.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= a.cols() && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let b_col = b.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for (k, wk) in w_col.iter_mut().enumerate().take(a.cols()) {
-            *wk += dot_conj(a.col(k), b_col);
-        }
-    }
-}
-
-/// `W(:, 0..width) += Vᴴ · B(:, c0..c0+width)` where only the **upper
-/// triangle** of `V` is referenced (column `k` of `V` has nonzeros in rows
-/// `0..=k`) — the TTMQR-shaped accumulation.
-pub fn acc_conj_trans_mul_upper_into<T: Scalar>(
-    v: &Matrix<T>,
-    b: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(b.rows(), n, "Vᴴ·B: row counts must agree");
-    assert!(c0 + width <= b.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let b_col = b.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for (k, wk) in w_col.iter_mut().enumerate().take(n) {
-            *wk += dot_conj(&v.col(k)[..k + 1], &b_col[..k + 1]);
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= W(:, 0..width)` — element-wise panel subtraction.
-pub fn sub_cols_assign<T: Scalar>(c: &mut Matrix<T>, c0: usize, width: usize, w: &Matrix<T>) {
-    let n = c.rows();
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        for (ci, &wi) in c.col_mut(c0 + j).iter_mut().zip(&w.col(j)[..n]) {
-            *ci -= wi;
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= A · W(:, 0..width)` for a dense `A` — the
-/// column-window variant of [`sub_mul_assign`].
-pub fn sub_mul_assign_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    a: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    assert_eq!(c.rows(), a.rows(), "C-=A·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= a.cols() && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..a.cols() {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            for (ci, &ai) in c_col.iter_mut().zip(a.col(k)) {
-                *ci -= ai * wkj;
-            }
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= V · W(:, 0..width)` where only the **upper
-/// triangle** of `V` is referenced — the TTMQR-shaped application.
-pub fn sub_mul_assign_upper_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    v: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "C-=V·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..n {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            for (ci, &vi) in c_col[..k + 1].iter_mut().zip(&v.col(k)[..k + 1]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// In-place `B(:, 0..width) := op(T) · B(:, 0..width)` for upper triangular
-/// `T` — the partial-panel variant of [`trmm_upper_left`] used on workspace
-/// staging panels (which may have more rows/columns than `T`).
-pub fn trmm_upper_left_partial<T: Scalar>(
-    t: &Matrix<T>,
-    b: &mut Matrix<T>,
-    width: usize,
-    conj_trans: bool,
-) {
-    let n = t.rows();
-    assert_eq!(t.cols(), n, "T must be square");
-    assert!(
-        b.rows() >= n && b.cols() >= width,
-        "op(T)·B: panel too small"
-    );
-    for j in 0..width {
-        let b_col = &mut b.col_mut(j)[..n];
-        if conj_trans {
-            // (Tᴴ B)[i] = Σ_{k≤i} conj(T[k,i])·B[k]; bottom-up keeps reads on
-            // original values, and the column of T is contiguous.
-            for i in (0..n).rev() {
-                let acc = dot_conj(&t.col(i)[..i + 1], &b_col[..i + 1]);
-                b_col[i] = acc;
-            }
-        } else {
-            // (T B)[i] = Σ_{k≥i} T[i,k]·B[k]; top-down keeps reads original.
-            for i in 0..n {
-                let mut acc = T::ZERO;
-                for (k, &bk) in b_col.iter().enumerate().skip(i) {
-                    acc += t.get(i, k) * bk;
-                }
-                b_col[i] = acc;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Panel helpers for the inner-blocked (`ib`) kernels.
 //
 // Under inner blocking a reflector panel covers tile columns `j0 .. j0+w`
-// (`w ≤ ib`). Its structured part — the unit-lower triangle of GEQRT/UNMQR
-// reflectors in rows `j0 .. j0+w`, or the packed upper triangle of TT
-// reflectors — is applied by the small loops below (`O(nb·w²)` work), while
-// the dense remainder goes through `crate::microblas::gemm_into`. Target
-// columns are addressed through a raw buffer + offset map so tiles, split
-// windows and packed triangles all work; `vcol(k)` yields (the full column
-// of) the tile holding the reflectors.
+// (`w ≤ ib`). Every product with a panel, its `w × w` triangle included, runs
+// on `crate::microblas::gemm_into` as a zero-padded GEMM: the packed-upper
+// TT panels pass their short packed columns (the microkernel pads them with
+// zeros), and the unit-lower GEQRT panels are first copied into a dense
+// trapezoid by `copy_unit_lower_panel`. The helpers below handle what is left
+// around those products: the trapezoid copy, the pivot-row staging of the
+// stacked TS/TT reflectors and the `T`-factor `trmm`. Target columns are
+// addressed through a raw buffer + offset map so tiles and split windows
+// both work.
 // ---------------------------------------------------------------------------
 
-/// Staging of the unit-lower-triangular part of a trapezoidal panel:
-/// `W(r, j) := C[j0+r, j] + Σ_{i=j0+r+1}^{j0+w-1} conj(V[i, j0+r]) · C[i, j]`
-/// for `r < w`, `j < width`. (The dense rows `≥ j0+w` of the panel are
-/// accumulated onto `W` separately via the micro-BLAS backend.)
-pub fn panel_unit_lower_stage<'a, T: Scalar + 'a>(
+/// Copies the unit-lower trapezoid of a reflector panel into `dst`: rows
+/// `j0 .. nb` of columns `j0 .. j0+w` of a GEQRT-factored tile, as a dense
+/// `(nb − j0) × w` column-major block with zeros above the diagonal, ones on
+/// it and the stored Householder vectors below it. `vcol(k)` yields the full
+/// column `k` of the tile; the `R` entries above its diagonal are never read.
+pub fn copy_unit_lower_panel<'a, T: Scalar + 'a>(
     vcol: impl Fn(usize) -> &'a [T],
     j0: usize,
     w: usize,
-    c: &[T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &mut Matrix<T>,
+    nb: usize,
+    dst: &mut [T],
 ) {
-    let j1 = j0 + w;
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &c[coff(j)..];
-        let wc = wmat.col_mut(j);
-        for r in 0..w {
-            let k = j0 + r;
-            wc[r] = ccol[k] + dot_conj(&vcol(k)[k + 1..j1], &ccol[k + 1..j1]);
-        }
-    }
-}
-
-/// Application of the unit-lower-triangular part of a trapezoidal panel:
-/// `C[j0+r, j] -= W(r, j)` and
-/// `C[j0+r+1 .. j0+w, j] -= V[.., j0+r] · W(r, j)`.
-pub fn panel_unit_lower_apply<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &mut [T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &Matrix<T>,
-) {
-    let j1 = j0 + w;
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &mut c[coff(j)..];
-        let wc = wmat.col(j);
-        for r in 0..w {
-            let k = j0 + r;
-            let wkj = wc[r];
-            if wkj.is_zero() {
-                continue;
-            }
-            ccol[k] -= wkj; // unit diagonal entry
-            for (ci, &vi) in ccol[k + 1..j1].iter_mut().zip(&vcol(k)[k + 1..j1]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// Staging of the triangular part of a packed-upper TT reflector panel:
-/// `W(r, j) += Σ_{p=j0}^{j0+r} conj(V2[p, j0+r]) · C[p, j]`, where
-/// `vcol(k)` yields the packed column `k` (rows `0..=k`, contiguous). Rows
-/// `< j0` of the panel are dense and handled by the micro-BLAS backend.
-pub fn panel_packed_upper_stage<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &[T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &mut Matrix<T>,
-) {
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &c[coff(j)..];
-        let wc = wmat.col_mut(j);
-        for r in 0..w {
-            let v = vcol(j0 + r);
-            wc[r] += dot_conj(&v[j0..], &ccol[j0..j0 + r + 1]);
-        }
-    }
-}
-
-/// Application of the triangular part of a packed-upper TT reflector panel:
-/// `C[j0 .. j0+r+1, j] -= V2[j0.., j0+r] · W(r, j)`.
-pub fn panel_packed_upper_apply<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &mut [T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &Matrix<T>,
-) {
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &mut c[coff(j)..];
-        let wc = wmat.col(j);
-        for r in 0..w {
-            let wkj = wc[r];
-            if wkj.is_zero() {
-                continue;
-            }
-            let v = vcol(j0 + r);
-            for (ci, &vi) in ccol[j0..j0 + r + 1].iter_mut().zip(&v[j0..]) {
-                *ci -= vi * wkj;
-            }
-        }
+    let ld = nb - j0;
+    assert!(dst.len() >= ld * w, "panel buffer too small");
+    for (p, col) in dst[..ld * w].chunks_exact_mut(ld).enumerate() {
+        col[..p].fill(T::ZERO);
+        col[p] = T::ONE;
+        col[p + 1..].copy_from_slice(&vcol(j0 + p)[j0 + p + 1..nb]);
     }
 }
 
@@ -478,9 +140,8 @@ pub fn sub_rows_window_assign<T: Scalar>(
 
 /// In-place `B(:, 0..width) := op(T_s) · B(:, 0..width)` for the `w × w`
 /// upper triangular panel factor stored `ib`-blocked at rows `0..w` of
-/// columns `t_c0 .. t_c0+w` of `t` — the windowed generalization of
-/// [`trmm_upper_left_partial`] (bit-identical to it at `t_c0 = 0`,
-/// `w = t.rows()`).
+/// columns `t_c0 .. t_c0+w` of `t` (a staging panel `b` may have more
+/// rows/columns than that).
 pub fn trmm_upper_left_window<T: Scalar>(
     t: &Matrix<T>,
     t_c0: usize,
@@ -771,87 +432,6 @@ mod tests {
                 (got - expected).abs() < 1e-12 * (1.0 + expected.abs()),
                 "n={n}: {got} vs {expected}"
             );
-        }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_helpers() {
-        let n = 7;
-        let width = 3;
-        let v: Matrix<Complex64> = random_matrix(n, n, 40);
-        let c: Matrix<Complex64> = random_matrix(n, n, 41);
-
-        // unit-lower Vᴴ·C on a column window
-        let mut w = Matrix::<Complex64>::zeros(n, n);
-        conj_trans_mul_unit_lower_into(&v, &c, 2, width, &mut w);
-        let reference = conj_trans_mul_unit_lower(&v, &c.sub_matrix(0, 2, n, width));
-        for j in 0..width {
-            for i in 0..n {
-                assert!((w.get(i, j) - reference.get(i, j)).abs() < 1e-13);
-            }
-        }
-
-        // W = C1 window, then W += Vᴴ·C2 window
-        let c2: Matrix<Complex64> = random_matrix(n, n, 42);
-        let mut w2 = Matrix::<Complex64>::zeros(n, n);
-        copy_cols_into(&c, 1, width, &mut w2);
-        acc_conj_trans_mul_into(&v, &c2, 1, width, &mut w2);
-        let reference2 =
-            conj_trans_mul(&v, &c2.sub_matrix(0, 1, n, width)).add(&c.sub_matrix(0, 1, n, width));
-        for j in 0..width {
-            for i in 0..n {
-                assert!((w2.get(i, j) - reference2.get(i, j)).abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
-    fn column_window_application_matches_allocating_path() {
-        let n = 6;
-        let v: Matrix<f64> = random_matrix(n, n, 50);
-        let w: Matrix<f64> = random_matrix(n, n, 51);
-        let c0: Matrix<f64> = random_matrix(n, n, 52);
-
-        // dense C -= V·W on the full window
-        let mut dense_new = c0.clone();
-        sub_mul_assign_cols(&mut dense_new, 0, n, &v, &w);
-        let mut dense_old = c0.clone();
-        sub_mul_assign(&mut dense_old, &v, &w);
-        assert_eq!(dense_new, dense_old);
-
-        // unit-lower C -= V·W
-        let mut ul_new = c0.clone();
-        sub_mul_assign_unit_lower_cols(&mut ul_new, 0, n, &v, &w);
-        let mut ul_old = c0.clone();
-        sub_mul_assign_unit_lower(&mut ul_old, &v, &w);
-        assert_eq!(ul_new, ul_old);
-    }
-
-    #[test]
-    fn trmm_partial_matches_full_trmm() {
-        let n = 5;
-        let full: Matrix<Complex64> = random_matrix(n, n, 60);
-        let t = Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                full.get(i, j)
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let b: Matrix<Complex64> = random_matrix(n, 4, 61);
-        for conj_trans in [false, true] {
-            let mut partial = b.clone();
-            trmm_upper_left_partial(&t, &mut partial, 4, conj_trans);
-            let mut reference = b.clone();
-            trmm_upper_left(&t, &mut reference, conj_trans);
-            for j in 0..4 {
-                for i in 0..n {
-                    assert!(
-                        (partial.get(i, j) - reference.get(i, j)).abs() < 1e-13,
-                        "mismatch at ({i},{j}) conj_trans={conj_trans}"
-                    );
-                }
-            }
         }
     }
 

@@ -22,8 +22,10 @@
 //! [`Workspace`](crate::workspace::Workspace)). Within a panel the
 //! reflectors are generated and applied column by column; the *trailing*
 //! columns of the tile are then updated once per panel with the blocked
-//! compact-WY application `C ← C − V·Tᴴ·(VᴴC)`, whose dense bulk runs on the
-//! register-tiled [`crate::microblas`] backend. The `w × w` panel factors
+//! compact-WY application `C ← C − V·Tᴴ·(VᴴC)`, whose two products run on the
+//! register-tiled [`crate::microblas`] backend as zero-padded GEMMs over the
+//! panel's trapezoid (GEQRT multiplies with a dense copy of its unit-lower
+//! trapezoid, TTQRT with the short packed columns). The `w × w` panel factors
 //! are stored `ib`-blocked: panel `s` (columns `j0 .. j0+w`) occupies rows
 //! `0..w` of columns `j0 .. j0+w` of `t`, so `t` needs only `ib` rows. With
 //! `ib = nb` (the default workspace) there is a single panel, no trailing
@@ -44,8 +46,8 @@ use tileqr_matrix::packed::{
 use tileqr_matrix::{Matrix, Scalar};
 
 use crate::blas::{
-    copy_rows_window_into, dot_conj, panel_packed_upper_apply, panel_packed_upper_stage,
-    panel_unit_lower_apply, panel_unit_lower_stage, sub_rows_window_assign, trmm_upper_left_window,
+    copy_rows_window_into, copy_unit_lower_panel, dot_conj, sub_rows_window_assign,
+    trmm_upper_left_window,
 };
 use crate::householder::{larfg, larft_panel_from_tile};
 use crate::microblas::{gemm_into, AMode};
@@ -86,6 +88,7 @@ pub fn geqrt_ws<T: Scalar<Real = f64>>(
         w: wmat,
         apack,
         bpack,
+        vpanel,
         ..
     } = ws;
 
@@ -126,19 +129,22 @@ pub fn geqrt_ws<T: Scalar<Real = f64>>(
             let trail = nb - j1;
             let ldw = wmat.rows();
             // V lives in columns j0..j1 of the tile, the targets in j1..nb:
-            // split the storage so both can be accessed at once.
+            // copy V's trapezoid out, then update rows j0..nb of the targets.
             let (left, right) = a.as_mut_slice().split_at_mut(j1 * nb);
-            let vcol = |k: usize| &left[k * nb..(k + 1) * nb];
-            // W := V_triᴴ · C_top  (unit-lower w × w triangle, rows j0..j1)
-            panel_unit_lower_stage(vcol, j0, w, right, |j| j * nb, trail, wmat);
-            // W += V_denseᴴ · C_bot  (rows j1..nb of the trapezoid)
+            copy_unit_lower_panel(|k| &left[k * nb..(k + 1) * nb], j0, w, nb, vpanel);
+            let ld = nb - j0;
+            let vpcol = |p: usize| &vpanel[p * ld..(p + 1) * ld];
+            // W := Vᴴ · C[j0..nb, :]
+            for j in 0..trail {
+                wmat.col_mut(j)[..w].fill(T::ZERO);
+            }
             gemm_into(
                 w,
                 trail,
-                nb - j1,
+                ld,
                 AMode::ConjTrans,
-                |i| &vcol(j0 + i)[j1..],
-                |j| &right[j * nb + j1..(j + 1) * nb],
+                vpcol,
+                |j| &right[j * nb + j0..(j + 1) * nb],
                 wmat.as_mut_slice(),
                 |j| j * ldw,
                 false,
@@ -147,17 +153,16 @@ pub fn geqrt_ws<T: Scalar<Real = f64>>(
             );
             // W := Tᴴ · W
             trmm_upper_left_window(t, j0, w, wmat, trail, true);
-            // C_top -= V_tri · W ; C_bot -= V_dense · W
-            panel_unit_lower_apply(vcol, j0, w, right, |j| j * nb, trail, wmat);
+            // C[j0..nb, :] −= V · W
             gemm_into(
-                nb - j1,
+                ld,
                 trail,
                 w,
                 AMode::NoTrans,
-                |p| &vcol(j0 + p)[j1..],
+                vpcol,
                 |j| wmat.col(j),
                 right,
-                |j| j * nb + j1,
+                |j| j * nb + j0,
                 true,
                 apack,
                 bpack,
@@ -381,12 +386,12 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
             let coffp = |j: usize| packed_off(j1 + j) - base;
             // W := R1[j0..j1, j1..nb]
             copy_rows_window_into(r1.as_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            // W += V2ᴴ · R2[0..j1, j1..nb]: dense rows 0..j0 via the
-            // microkernel, the w × w triangle via the packed panel helper.
+            // W += V2ᴴ · R2[0..j1, j1..nb]: the packed trapezoid, zero-padded
+            // to j1 rows by the microkernel.
             gemm_into(
                 w,
                 trail,
-                j0,
+                j1,
                 AMode::ConjTrans,
                 |i| vcol(j0 + i),
                 |j| &cpart[coffp(j)..coffp(j) + j1 + j + 1],
@@ -396,18 +401,17 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
                 apack,
                 bpack,
             );
-            panel_packed_upper_stage(vcol, j0, w, cpart, coffp, trail, wmat);
             // W := Tᴴ · W
             trmm_upper_left_window(t, j0, w, wmat, trail, true);
             // R1[j0..j1, j1..nb] -= W
             sub_rows_window_assign(r1.as_mut_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            // R2[0..j1, j1..nb] -= V2 · W (dense rows + triangle)
+            // R2[0..j1, j1..nb] -= V2 · W
             gemm_into(
-                j0,
+                j1,
                 trail,
                 w,
                 AMode::NoTrans,
-                |p| &vcol(j0 + p)[..j0],
+                |p| vcol(j0 + p),
                 |j| wmat.col(j),
                 cpart,
                 coffp,
@@ -415,7 +419,6 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
                 apack,
                 bpack,
             );
-            panel_packed_upper_apply(vcol, j0, w, cpart, coffp, trail, wmat);
         }
         j0 = j1;
     }

@@ -30,26 +30,28 @@
 //!    decide *what* is computed.
 //! 2. **Inner panel level (`ib`)** — each `nb × nb` tile is factored and
 //!    applied in panels of `ib` columns (the
-//!    [`Workspace`](workspace::Workspace) carries `ib`; `ib = nb` reproduces
-//!    the historical unblocked path bit for bit). Reflectors are generated
+//!    [`Workspace`](workspace::Workspace) carries `ib`; `ib = nb` makes one
+//!    panel per tile, through the same code). Reflectors are generated
 //!    column by column *inside* a panel, and the trailing columns are
 //!    touched once per panel through the blocked compact-WY update
 //!    `W := VᴴC`, `W := op(T)·W`, `C := C − V·W`, which turns the bulk of
 //!    every kernel into matrix–matrix products of width `ib`. The panel
 //!    `T` factors are stored `ib`-blocked (rows `0..w` of the panel's
-//!    columns — PLASMA's `ib × nb` T layout). The structured panel pieces
-//!    (unit-lower triangles, packed-upper TT trapezoids, the `trmm` with
-//!    `T`, pivot-row staging) live in [`blas`], which owns everything that
-//!    is `O(nb·ib²)` or smaller.
-//! 3. **Register level (`MR × NR`)** — the dense bulk of every panel update
-//!    funnels through [`microblas`]: packed operand panels and a
+//!    columns — PLASMA's `ib × nb` T layout). Every product with a panel,
+//!    the `w × w` triangle of its reflectors included, is one zero-padded
+//!    [`microblas`] GEMM. What is left around those products (the unit-lower
+//!    trapezoid copy, the `trmm` with `T`, pivot-row staging) lives in
+//!    [`blas`].
+//! 3. **Register level (`MR × NR`)** — every panel product funnels
+//!    through [`microblas`]: packed operand panels and a
 //!    register-blocked microkernel accumulating an `MR × NR` block in a
 //!    fixed-size stack array (independent dependency chains). The block
 //!    shape is chosen per scalar type
 //!    ([`Scalar::MR`](tileqr_matrix::Scalar::MR): `8 × 4` for `f64`,
 //!    `4 × 4` for `Complex64` so the complex accumulators fit the register
-//!    file). [`microblas`] owns everything `O(nb²·ib)` — the flops that
-//!    dominate.
+//!    file). [`microblas`] owns every product with a reflector panel, i.e.
+//!    all of the `O(nb³)` work; what stays outside it (the in-panel
+//!    reflector sweeps and the `trmm` with `T`) is `O(nb²·ib)` per tile.
 //! 4. **Instruction level (runtime ISA dispatch)** — the microkernel itself
 //!    is implemented per instruction set in [`simd`] with explicit
 //!    `core::arch` intrinsics (AVX2+FMA and AVX-512F on x86-64, NEON on

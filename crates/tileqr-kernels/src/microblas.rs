@@ -2,9 +2,9 @@
 //!
 //! This is the innermost of the crate's three blocking levels (tile `nb` →
 //! inner panel `ib` → register block `MR × NR`, see the crate docs). Every
-//! compute-bound panel update of the `*_ws` kernels — the compact-WY
-//! applications `W := VᴴC` and `C := C − V·W` — funnels through one
-//! [`gemm_into`] entry point, which follows the classic GotoBLAS structure
+//! product with a reflector panel in the `*_ws` kernels — the compact-WY
+//! applications `W := VᴴC` and `C := C − V·W`, the panel's `w × w` triangle
+//! included — funnels through one [`gemm_into`] entry point, which follows the classic GotoBLAS structure
 //! specialized to tile-sized operands (`m, n, k ≤ nb`):
 //!
 //! 1. both operands are packed once per call: `B` into `NR`-interleaved
@@ -32,8 +32,12 @@
 //! rather than matrix references: the same code path then serves dense tiles,
 //! column windows obtained from `split_at_mut`, staging panels with a foreign
 //! leading dimension, and the packed triangular columns of the TT kernels
-//! (columns shorter than `k` are zero-padded during packing, which is how
-//! trapezoidal reflector blocks are handled). The destination is a raw
+//! (columns shorter than `k` are zero-padded during packing). Zero padding
+//! carries the reflector triangles: a packed-upper TT panel passes its short
+//! packed columns as they are, and a unit-lower panel is first copied into a
+//! dense trapezoid whose zeros above the unit diagonal are explicit
+//! ([`crate::blas::copy_unit_lower_panel`]). The microkernel sums over `k` in
+//! order, so a padded term adds an exact zero. The destination is a raw
 //! column-major buffer plus a column-offset map, so a packed triangle can be
 //! updated in place as well.
 //!

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! the pack buffers of the register-tiled micro-BLAS backend
-//! ([`crate::microblas`]), and the packed-triangular scratch of the TT
-//! kernels.
+//! ([`crate::microblas`]), the packed-triangular scratch of the TT
+//! kernels, and the dense copy of one unit-lower reflector panel.
 //!
 //! The original (seed) kernels allocated all of this on every call, i.e. on
 //! every one of the `O(p·q²)` tasks of a factorization. A [`Workspace`] is
@@ -25,11 +25,9 @@
 //!
 //! The workspace also carries the PLASMA-style inner blocking factor `ib`:
 //! kernels factor/apply each `nb × nb` tile in panels of `ib` columns (see
-//! the crate docs). [`Workspace::new`]`(nb)` uses `ib = nb` (unblocked,
-//! bit-compatible with the historical kernels);
-//! [`Workspace::with_inner_block`] selects a smaller panel width, which
-//! routes the trailing updates through the micro-BLAS GEMM path. The `T`
-//! factors produced under inner blocking are stored `ib`-blocked (an
+//! the crate docs). [`Workspace::new`]`(nb)` uses `ib = nb` (one panel per
+//! tile); [`Workspace::with_inner_block`] selects a smaller panel width. The
+//! `T` factors produced under inner blocking are stored `ib`-blocked (an
 //! `ib × nb` matrix holding one `w × w` triangular factor per panel), so the
 //! same `ib` must be used to factor and to apply.
 //!
@@ -66,6 +64,10 @@ pub struct Workspace<T: Scalar> {
     /// Packed upper-triangular scratch for the TT kernels
     /// ([`tileqr_matrix::packed::packed_len`]).
     pub(crate) tri: Vec<T>,
+    /// Dense copy of one unit-lower reflector panel for UNMQR and GEQRT's
+    /// inter-panel update ([`crate::blas::copy_unit_lower_panel`]):
+    /// `(nb − j0) × w ≤ nb × nb` scalars.
+    pub(crate) vpanel: Vec<T>,
 }
 
 impl<T: Scalar> Workspace<T> {
@@ -90,6 +92,7 @@ impl<T: Scalar> Workspace<T> {
             apack: vec![T::ZERO; apack_len::<T>(nb, nb)],
             bpack: vec![T::ZERO; bpack_len::<T>(nb, nb)],
             tri: vec![T::ZERO; packed_len(nb)],
+            vpanel: vec![T::ZERO; nb * nb],
         }
     }
 
@@ -131,9 +134,10 @@ impl<T: Scalar> Workspace<T> {
     }
 
     /// Asserts (in debug and release) that the workspace can serve tiles of
-    /// order `nb`, including the micro-BLAS pack buffers and the packed
-    /// triangular scratch — the zero-per-task-allocation guarantee relies on
-    /// every buffer being preallocated for the worst case.
+    /// order `nb`, including the micro-BLAS pack buffers, the packed
+    /// triangular scratch and the reflector panel copy — the
+    /// zero-per-task-allocation guarantee relies on every buffer being
+    /// preallocated for the worst case.
     #[inline]
     pub(crate) fn require(&self, nb: usize) {
         assert!(
@@ -145,7 +149,8 @@ impl<T: Scalar> Workspace<T> {
         assert!(
             self.apack.len() >= apack_len::<T>(nb, nb)
                 && self.bpack.len() >= bpack_len::<T>(nb, nb)
-                && self.tri.len() >= packed_len(nb),
+                && self.tri.len() >= packed_len(nb)
+                && self.vpanel.len() >= nb * nb,
             "workspace pack buffers are not preallocated for nb={nb}"
         );
     }
@@ -169,14 +174,16 @@ mod tests {
     #[test]
     fn pack_buffers_are_preallocated_for_any_inner_block() {
         // The zero-per-task-allocation guarantee: every buffer the kernels
-        // touch — including the micro-BLAS panels and the packed triangle —
-        // is sized for the worst case at construction, for every ib ≤ nb.
+        // touch — including the micro-BLAS panels, the packed triangle and the
+        // reflector panel copy — is sized for the worst case at construction,
+        // for every ib ≤ nb.
         for ib in [1usize, 3, 8, 16] {
             let ws: Workspace<f64> = Workspace::with_inner_block(16, ib);
             assert_eq!(ws.ib(), ib);
             assert!(ws.apack.len() >= apack_len::<f64>(16, 16));
             assert!(ws.bpack.len() >= bpack_len::<f64>(16, 16));
             assert!(ws.tri.len() >= packed_len(16));
+            assert!(ws.vpanel.len() >= 16 * 16);
             ws.require(16); // must not panic: buffers cover the full tile
         }
     }
@@ -213,6 +220,7 @@ mod tests {
             ws.apack.capacity(),
             ws.bpack.capacity(),
             ws.tri.capacity(),
+            ws.vpanel.capacity(),
         );
         ws.set_inner_block(3);
         assert_eq!(ws.ib(), 3);
@@ -227,7 +235,8 @@ mod tests {
                 ws.tau.capacity(),
                 ws.apack.capacity(),
                 ws.bpack.capacity(),
-                ws.tri.capacity()
+                ws.tri.capacity(),
+                ws.vpanel.capacity()
             ),
             "buffers untouched"
         );

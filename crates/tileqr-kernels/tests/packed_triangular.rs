@@ -3,19 +3,22 @@
 //! * `pack → unpack` must be the identity on the upper triangle and must
 //!   never touch the strictly lower half (which, in a real factorization,
 //!   still holds the Householder vectors of an earlier GEQRT on the tile).
-//! * The packed TTQRT/TTMQR production kernels must be **bitwise identical**
-//!   to the dense-tile formulation at `ib = nb`: the packed layout changes
-//!   where the triangle lives, not a single arithmetic operation. The dense
-//!   reference below is the pre-packing implementation (reflector sweep over
-//!   `r2.col(k)[..len]` windows, `build_t` over dense columns), kept
-//!   verbatim for comparison.
+//! * The packed TTQRT production kernel must be **bitwise identical** to the
+//!   dense-tile formulation at `ib = nb`: the packed layout changes where the
+//!   triangle lives, not a single arithmetic operation. The dense reference
+//!   below is the pre-packing implementation (reflector sweep over
+//!   `r2.col(k)[..len]` windows, `build_t` over dense columns), kept verbatim
+//!   for comparison.
+//! * TTMQR on the packed triangle of `V2` must be **bitwise identical** to
+//!   TSMQR on `triu(V2)`, at every `ib`: TTMQR runs the same zero-padded
+//!   products, only stopping each one where the triangle ends. The
+//!   microkernel sums over `k` in order, so every product term TSMQR adds
+//!   beyond that point is an exact zero. The garbage below `V2`'s diagonal
+//!   must not reach the result.
 
-use tileqr_kernels::blas::{
-    acc_conj_trans_mul_upper_into, copy_cols_into, dot_conj, sub_cols_assign,
-    sub_mul_assign_upper_cols, trmm_upper_left_partial,
-};
+use tileqr_kernels::blas::dot_conj;
 use tileqr_kernels::householder::larfg;
-use tileqr_kernels::{ttmqr_ws, ttqrt_ws, Trans, Workspace};
+use tileqr_kernels::{tsmqr_ws, ttmqr_ws, ttqrt_ws, Trans, Workspace};
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::packed::{pack_upper_triangle, packed_len, unpack_upper_triangle};
 use tileqr_matrix::{Complex64, Matrix, PackedUpperTriangular, Scalar};
@@ -74,30 +77,6 @@ fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t:
     }
 }
 
-/// Dense-tile TTMQR: the pre-packed-storage formulation (column-window blas
-/// helpers over the dense `v2` tile).
-fn ttmqr_dense<T: Scalar<Real = f64>>(
-    v2: &Matrix<T>,
-    t: &Matrix<T>,
-    c1: &mut Matrix<T>,
-    c2: &mut Matrix<T>,
-    trans: Trans,
-) {
-    let nb = v2.rows();
-    let mut w = Matrix::zeros(nb, nb);
-    let ncols = c1.cols();
-    let mut c0 = 0;
-    while c0 < ncols {
-        let width = nb.min(ncols - c0);
-        copy_cols_into(c1, c0, width, &mut w);
-        acc_conj_trans_mul_upper_into(v2, c2, c0, width, &mut w);
-        trmm_upper_left_partial(t, &mut w, width, matches!(trans, Trans::ConjTrans));
-        sub_cols_assign(c1, c0, width, &w);
-        sub_mul_assign_upper_cols(c2, c0, width, v2, &w);
-        c0 += width;
-    }
-}
-
 #[test]
 fn pack_unpack_roundtrip_is_identity() {
     for (n, seed) in [(1usize, 1u64), (2, 2), (5, 3), (16, 4), (33, 5)] {
@@ -146,18 +125,6 @@ fn check_packed_matches_dense<T: RandomScalar>(nb: usize, seed: u64) {
             }
         }
     }
-
-    // TTMQR on the factored pair, both transposes, bitwise.
-    let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
-    let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
-    for trans in [Trans::ConjTrans, Trans::NoTrans] {
-        let (mut c1_p, mut c2_p) = (c1_0.clone(), c2_0.clone());
-        ttmqr_ws(&r2_p, &t_p, &mut c1_p, &mut c2_p, trans, &mut ws);
-        let (mut c1_d, mut c2_d) = (c1_0.clone(), c2_0.clone());
-        ttmqr_dense(&r2_d, &t_d, &mut c1_d, &mut c2_d, trans);
-        assert_eq!(c1_p, c1_d, "TTMQR C1 packed vs dense, nb={nb} {trans:?}");
-        assert_eq!(c2_p, c2_d, "TTMQR C2 packed vs dense, nb={nb} {trans:?}");
-    }
 }
 
 #[test]
@@ -178,5 +145,58 @@ fn packed_tt_kernels_match_dense_bitwise_f64() {
 fn packed_tt_kernels_match_dense_bitwise_complex() {
     for (nb, seed) in [(1usize, 20u64), (4, 21), (9, 22), (16, 23)] {
         check_packed_matches_dense::<Complex64>(nb, seed);
+    }
+}
+
+fn check_ttmqr_matches_tsmqr_on_triu<T: RandomScalar>(nb: usize, ib: usize, seed: u64) {
+    let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
+    let mut r1: Matrix<T> = random_matrix(nb, nb, seed);
+    r1.zero_below_diagonal();
+    // Random garbage below the diagonal stands in for the GEQRT vectors of a
+    // real run; TTQRT leaves it in place.
+    let mut v2: Matrix<T> = random_matrix(nb, nb, seed + 1);
+    let mut t = Matrix::zeros(ib.min(nb), nb);
+    ttqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
+    let mut v2_triu = v2.clone();
+    v2_triu.zero_below_diagonal();
+    if nb > 1 {
+        assert_ne!(v2, v2_triu, "garbage must survive below V2's diagonal");
+    }
+
+    let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
+    let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
+    for trans in [Trans::ConjTrans, Trans::NoTrans] {
+        let (mut c1_tt, mut c2_tt) = (c1_0.clone(), c2_0.clone());
+        ttmqr_ws(&v2, &t, &mut c1_tt, &mut c2_tt, trans, &mut ws);
+        let (mut c1_ts, mut c2_ts) = (c1_0.clone(), c2_0.clone());
+        tsmqr_ws(&v2_triu, &t, &mut c1_ts, &mut c2_ts, trans, &mut ws);
+        assert_eq!(c1_tt, c1_ts, "C1 TTMQR vs TSMQR, nb={nb} ib={ib} {trans:?}");
+        assert_eq!(c2_tt, c2_ts, "C2 TTMQR vs TSMQR, nb={nb} ib={ib} {trans:?}");
+    }
+}
+
+/// `ib` ∈ {1, 3, 5, nb}: 3 and 5 are odd and leave a ragged last panel on
+/// most of the tile orders.
+fn ttmqr_cases() -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for nb in [1usize, 2, 3, 8, 13, 24] {
+        for ib in [1, 3, 5, nb] {
+            out.push((nb, ib));
+        }
+    }
+    out
+}
+
+#[test]
+fn ttmqr_matches_tsmqr_on_triu_v2_bitwise_f64() {
+    for (nb, ib) in ttmqr_cases() {
+        check_ttmqr_matches_tsmqr_on_triu::<f64>(nb, ib, 30 + nb as u64);
+    }
+}
+
+#[test]
+fn ttmqr_matches_tsmqr_on_triu_v2_bitwise_complex() {
+    for (nb, ib) in ttmqr_cases() {
+        check_ttmqr_matches_tsmqr_on_triu::<Complex64>(nb, ib, 60 + nb as u64);
     }
 }

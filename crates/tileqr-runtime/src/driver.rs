@@ -51,11 +51,11 @@ pub struct QrConfig {
     pub tile_size: usize,
     /// PLASMA-style inner blocking factor `ib` (clamped to `1..=tile_size`
     /// at use): kernels factor/apply each tile in panels of `ib` columns and
-    /// store `T` factors `ib`-blocked, routing the trailing updates through
-    /// the register-tiled micro-BLAS backend. Defaults to
-    /// `min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)` — the tuned setting; use
-    /// [`QrConfig::with_inner_block`]`(tile_size)` to reproduce the
-    /// historical unblocked kernels bit for bit.
+    /// store `T` factors `ib`-blocked; every product with a panel runs on the
+    /// register-tiled micro-BLAS backend. Defaults to
+    /// `min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)` — the tuned setting;
+    /// [`QrConfig::with_inner_block`]`(tile_size)` factors and applies each
+    /// tile as a single panel.
     pub inner_block: usize,
     /// Reduction tree.
     pub algorithm: Algorithm,
